@@ -23,7 +23,7 @@ use std::time::Instant;
 use cfm_bench::print_table;
 use cfm_core::config::{CfmConfig, Engine};
 use cfm_core::fault::{FaultPlan, PlanParams};
-use cfm_core::machine::CfmMachine;
+use cfm_core::machine::{CfmMachine, WindowRefusals};
 use cfm_core::op::Operation;
 use cfm_core::spec::{OffsetExpr, OpPattern, OpSpec, ProgramSpec};
 use cfm_verify::analyze::summarize;
@@ -75,6 +75,7 @@ struct Measured {
     static_slots: u64,
     dynamic_slots: u64,
     dynamic_windows: u64,
+    refusals: WindowRefusals,
 }
 
 struct Counters {
@@ -84,6 +85,7 @@ struct Counters {
     static_slots: u64,
     dynamic_slots: u64,
     dynamic_windows: u64,
+    refusals: WindowRefusals,
 }
 
 /// Cores actually free right now: logical CPUs minus the 1-minute load
@@ -201,6 +203,7 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
         static_slots: m.static_slots(),
         dynamic_slots: m.dynamic_slots(),
         dynamic_windows: m.dynamic_windows(),
+        refusals: m.window_refusals(),
     }
 }
 
@@ -224,7 +227,8 @@ fn json_report(
          >= threads free cores. static_fraction is the share of slots executed inside \
          statically proven windows (armed summary); dynamic_fraction the share inside \
          dynamically proven windows (runtime hazard scan, no summary needed — the path \
-         NotPeriodic programs get). See docs/performance.md.\",\n",
+         NotPeriodic programs get). window_refusals counts, per reason, the run() steps \
+         that fell back to a single slot instead of a window. See docs/performance.md.\",\n",
     );
     out.push_str("  \"runs\": [\n");
     for (i, m) in measured.iter().enumerate() {
@@ -239,7 +243,8 @@ fn json_report(
              \"slots\": {}, \"wall_time_s\": {:.4}, \"slots_per_s\": {:.0}, \
              \"speedup_vs_seq\": {:.3}, \"parallel_slots\": {}, \"parallel_fraction\": {:.3}, \
              \"static_slots\": {}, \"static_fraction\": {:.3}, \
-             \"dynamic_slots\": {}, \"dynamic_fraction\": {:.3}, \"dynamic_windows\": {}}}{}\n",
+             \"dynamic_slots\": {}, \"dynamic_fraction\": {:.3}, \"dynamic_windows\": {}, \
+             \"window_refusals\": {{\"fault\": {}, \"op_busy\": {}, \"short\": {}, \"hazard\": {}}}}}{}\n",
             m.shape.0,
             m.shape.1,
             m.variant,
@@ -255,6 +260,10 @@ fn json_report(
             m.dynamic_slots,
             m.dynamic_slots as f64 / m.slots.max(1) as f64,
             m.dynamic_windows,
+            m.refusals.fault,
+            m.refusals.op_busy,
+            m.refusals.short,
+            m.refusals.hazard,
             if i + 1 == measured.len() { "" } else { "," }
         ));
     }
@@ -294,6 +303,7 @@ fn main() {
                     static_slots: c.static_slots,
                     dynamic_slots: c.dynamic_slots,
                     dynamic_windows: c.dynamic_windows,
+                    refusals: c.refusals,
                 });
             }
         }

@@ -291,10 +291,12 @@ mod tests {
             .bind(region(1, 0, 1), Access::Rw, SyncMode::Blocking)
             .unwrap();
         let m2 = m.clone();
+        let (bound_tx, bound_rx) = std::sync::mpsc::channel();
         let t = std::thread::spawn(move || {
             let _gb = m2
                 .bind(region(2, 0, 1), Access::Rw, SyncMode::Blocking)
                 .unwrap();
+            bound_tx.send(()).unwrap();
             // Wait until the main thread blocks on resource 2, then try
             // resource 1 — the cycle-closing request.
             std::thread::sleep(std::time::Duration::from_millis(80));
@@ -303,8 +305,10 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err, BindError::Deadlock);
         });
-        // Block on resource 2 (held by the spawned thread). It will be
+        // Block on resource 2 once the spawned thread holds it (binding
+        // first would leave the thread waiting on us forever). It will be
         // released when the thread finishes, un-blocking us.
+        bound_rx.recv().unwrap();
         let _g2 = m
             .bind(region(2, 0, 1), Access::Rw, SyncMode::Blocking)
             .unwrap();
