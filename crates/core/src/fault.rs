@@ -400,15 +400,17 @@ impl FaultState {
         }
     }
 
-    /// Whether the fault state is fully quiescent: no un-activated plan
-    /// events remain, no transient error is latched, and no response
-    /// fault is pending. Conservative — a transient whose repair slot
-    /// has passed still counts as non-idle until the latch is observed
-    /// — which is the safe direction for its only caller, the
-    /// hazard-summary arming gate.
-    pub fn is_idle(&self) -> bool {
+    /// Whether the fault state is quiescent from slot `now` on: no
+    /// un-activated plan events remain, every latched transient error
+    /// is repaired by `now` (repair slots are exclusive, and slots only
+    /// move forward, so a repaired latch never fires again), and no
+    /// response fault is pending.
+    pub fn is_idle(&self, now: Cycle) -> bool {
         self.next >= self.plan.events.len()
-            && self.transient_until.iter().all(Option::is_none)
+            && self
+                .transient_until
+                .iter()
+                .all(|t| t.is_none_or(|repair| repair <= now))
             && self.pending_responses.iter().all(VecDeque::is_empty)
     }
 }

@@ -391,13 +391,6 @@ impl MemoryTrace {
         self.events.append(events);
     }
 
-    /// Copy a per-lane buffer segment to the end of the log — the window
-    /// merge splicing one lane's events for one slot (the lane keeps its
-    /// buffer, and its capacity, for the next window).
-    pub(crate) fn extend_from_slice(&mut self, events: &[TraceEvent]) {
-        self.events.extend_from_slice(events);
-    }
-
     /// Drop every recorded event, keeping the allocation for reuse
     /// ([`crate::machine::CfmMachine::discard_trace`]).
     pub(crate) fn clear(&mut self) {

@@ -64,12 +64,14 @@ pub struct ChaosSpec {
 impl Default for ChaosSpec {
     /// Four seeded plans covering remap, pipelined banks, masking (no
     /// spare), and a two-spare pool, rotated across the sequential
-    /// engine and the parallel engine at 2 and 4 threads.
+    /// engine and the windowed engine at 1 (the default), 2 and 4
+    /// threads.
     fn default() -> Self {
         ChaosSpec {
             seeds: vec![0xC0FFEE, 0xBAD_F00D, 0x5EED, 0xFEED],
             engines: vec![
                 Engine::Sequential,
+                Engine::Parallel { threads: 1 },
                 Engine::Parallel { threads: 2 },
                 Engine::Parallel { threads: 4 },
             ],
@@ -195,8 +197,9 @@ struct Done {
     completion: Completion,
 }
 
-/// Drive `machine` with per-processor scripts to completion, then step
-/// past the fault horizon so late-scheduled faults still fire.
+/// Drive `machine` with per-processor scripts to completion, step past
+/// the fault horizon so late-scheduled faults still fire, then run one
+/// disjoint write/read-back round through [`CfmMachine::run`].
 fn drive(machine: &mut CfmMachine, scripts: &mut [VecDeque<Operation>]) -> Vec<Done> {
     let n = scripts.len();
     let mut pending: Vec<VecDeque<Operation>> = vec![VecDeque::new(); n];
@@ -242,6 +245,34 @@ fn drive(machine: &mut CfmMachine, scripts: &mut [VecDeque<Operation>]) -> Vec<D
     while machine.cycle() < HORIZON + 40 {
         machine.step();
     }
+    // A disjoint round on the degraded bank map through `run()`: every
+    // processor rewrites its own block's last value, then reads it
+    // back. Under a windowed engine these run as proven windows over
+    // the remapped or masked banks.
+    let banks = machine.config().banks();
+    for read_back in [false, true] {
+        let ops: Vec<Operation> = (0..n)
+            .map(|p| {
+                if read_back {
+                    Operation::read(p)
+                } else {
+                    Operation::write(p, vec![owned_value(p, ROUNDS - 1); banks])
+                }
+            })
+            .collect();
+        for (p, op) in ops.iter().enumerate() {
+            machine
+                .issue(p, op.clone())
+                .expect("idle processor accepts");
+        }
+        for completion in machine.run(BUDGET).expect_idle() {
+            history.push(Done {
+                proc: completion.proc,
+                op: ops[completion.proc].clone(),
+                completion,
+            });
+        }
+    }
     history
 }
 
@@ -252,9 +283,10 @@ fn owned_value(p: usize, r: u64) -> Word {
 
 /// Soak one seeded plan on one machine shape and slot engine and check
 /// injectivity, race freedom, and write durability on the faulted
-/// execution. With a parallel engine the soak additionally asserts the
-/// parallel plan → execute → merge path actually ran (a fallback-only
-/// soak would make the engine rotation vacuous).
+/// execution. With a windowed engine the soak additionally asserts
+/// that both the single-slot plan → execute → merge path and the proven
+/// window kernel actually ran (a fallback-only soak would make the
+/// engine rotation vacuous).
 fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<Check> {
     let cfg = CfmConfig::new(n, c, 16)
         .expect("valid soak shape")
@@ -294,25 +326,39 @@ fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<C
 
     let mut checks = Vec::new();
 
-    // Engine non-vacuousness: under a parallel engine at least some
-    // slots must take the sharded path (the owned-block rounds are
-    // hazard-free); hazardous slots falling back is expected, a soak
-    // that *only* fell back proves nothing about the parallel merge.
+    // Engine non-vacuousness: under a windowed engine some faulted
+    // slots must take the single-slot parallel path (the owned-block
+    // rounds are hazard-free), and the disjoint post-fault round must
+    // run as proven windows over the degraded bank map; hazardous slots
+    // falling back is expected, a soak that *only* fell back proves
+    // nothing about either path.
     if engine != Engine::Sequential {
-        let parallel_slots = m.parallel_slots();
-        checks.push(if parallel_slots > 0 {
+        let window_slots = m.dynamic_slots();
+        let single_slots = m.parallel_slots() - window_slots;
+        let mut vacuous = Vec::new();
+        if single_slots == 0 {
+            vacuous.push("every faulted slot hit a hazard — the rotation is vacuous".to_string());
+        }
+        if window_slots == 0 {
+            vacuous.push("the disjoint post-fault round never ran a proven window".to_string());
+        }
+        checks.push(if vacuous.is_empty() {
             Check::pass(
                 "chaos/engine-parallel",
                 &subject,
-                format!("{parallel_slots} slot(s) took the parallel path under faults"),
+                format!(
+                    "{single_slots} slot(s) took the parallel path under faults, \
+                     {window_slots} ran in proven windows after them"
+                ),
             )
-            .with_metric("parallel_slots", parallel_slots)
+            .with_metric("parallel_slots", single_slots)
+            .with_metric("window_slots", window_slots)
         } else {
             Check::fail(
                 "chaos/engine-parallel",
                 &subject,
-                "the parallel engine never left the sequential fallback",
-                vec!["every slot of the soak hit a hazard — the rotation is vacuous".into()],
+                "the windowed engine never left the sequential fallback",
+                vacuous,
             )
         });
     }
@@ -773,6 +819,10 @@ mod tests {
     #[test]
     fn engine_rotation_covers_every_requested_engine() {
         let spec = ChaosSpec::default();
+        assert!(
+            spec.engines.contains(&Engine::default()),
+            "the default engine must be soaked"
+        );
         let rotated: Vec<Engine> = (0..spec.seeds.len())
             .map(|i| engine_for(&spec, i))
             .collect();
