@@ -1,19 +1,16 @@
-//! Core-engine throughput: sequential vs parallel slot engine.
+//! Core-engine throughput: sequential vs windowed slot engine.
 //!
 //! Soaks a steady disjoint-block workload (every processor continuously
 //! re-issuing reads/writes of its own block — the conflict-free case the
-//! parallel engine shards) on a grid of machine shapes × engine
-//! configurations × variants (plain / traced / faulted / static-summary
-//! / dynamic-window), and records simulated slots per wall-clock second
+//! windowed engine proves once per window) on a grid of machine shapes ×
+//! engines × variants (plain / traced / faulted / static-summary /
+//! dynamic-window), and records simulated slots per wall-clock second
 //! into `BENCH_core.json`.
 //!
 //! The report includes `host_cpus` *and* `host_free_cores` (detected
-//! from the 1-minute load average) because the numbers are only
-//! meaningful relative to the cores actually available: on a saturated
-//! host every extra lane adds scheduler handoffs and the parallel
-//! engine *cannot* beat the sequential one — the recorded numbers then
-//! measure engine overhead, not speedup (see `docs/performance.md` for
-//! how to read them).
+//! from the 1-minute load average) so a reader can tell a loaded host's
+//! numbers apart: both engines run on one thread, and a busy host
+//! slows them alike (see `docs/performance.md` for how to read them).
 //!
 //! `--smoke` shrinks the slot budget for CI.
 
@@ -34,14 +31,11 @@ const SPARES: usize = 1;
 /// Machine shapes exercised: small / medium / large (single-cluster).
 const SHAPES: [(usize, u32); 3] = [(16, 1), (64, 1), (256, 1)];
 
-/// Engine grid: the sequential reference plus the parallel engine at
-/// 1/2/4/8 threads (1 thread = the pipeline without worker handoffs).
-const ENGINES: [(&str, Engine); 5] = [
+/// Engine grid: the sequential reference stepper and the windowed
+/// engine (the default).
+const ENGINES: [(&str, Engine); 2] = [
     ("sequential", Engine::Sequential),
-    ("parallel-1", Engine::Parallel { threads: 1 }),
-    ("parallel-2", Engine::Parallel { threads: 2 }),
-    ("parallel-4", Engine::Parallel { threads: 4 }),
-    ("parallel-8", Engine::Parallel { threads: 8 }),
+    ("windowed", Engine::Windowed),
 ];
 
 /// `static-summary` arms the statically proven [`cfm_core::spec::HazardSummary`]
@@ -89,8 +83,8 @@ struct Counters {
 }
 
 /// Cores actually free right now: logical CPUs minus the 1-minute load
-/// average (clamped to at least 1) — the honest denominator for reading
-/// parallel speedups on a shared host.
+/// average (clamped to at least 1) — tells a loaded host's numbers
+/// apart on a shared machine.
 fn detect_free_cores(host_cpus: usize) -> usize {
     let load1 = std::fs::read_to_string("/proc/loadavg")
         .ok()
@@ -223,8 +217,8 @@ fn json_report(
     out.push_str(&format!("  \"slot_budget\": {slot_budget},\n"));
     out.push_str(
         "  \"note\": \"Honest numbers for the host recorded in host_cpus/host_free_cores \
-         (logical CPUs minus 1-min load average at bench start): speedup_vs_seq > 1 requires \
-         >= threads free cores. static_fraction is the share of slots executed inside \
+         (logical CPUs minus 1-min load average at bench start); both engines run on one \
+         thread. static_fraction is the share of slots executed inside \
          statically proven windows (armed summary); dynamic_fraction the share inside \
          dynamically proven windows (runtime hazard scan, no summary needed — the path \
          NotPeriodic programs get). window_refusals counts, per reason, the run() steps \

@@ -136,8 +136,8 @@ pub struct Att {
     /// [`Self::contended_by_other`]) consult it first so the common case —
     /// no live entry for the accessed offset — is O(1) instead of a
     /// full-queue scan. A dense array indexed by offset (not a hash map):
-    /// probes are a single bounds-checked load, and the parallel engine's
-    /// window hazard scan streams it without chasing buckets. Grown on
+    /// probes are a single bounds-checked load, and the windowed engine's
+    /// hazard scan streams it without chasing buckets. Grown on
     /// demand; [`Self::with_offsets`] pre-sizes it.
     by_offset: Vec<u32>,
 }
@@ -357,9 +357,10 @@ impl Att {
     /// Whether an arbitrating entry for `offset` from a processor other
     /// than `me` exists, at any age (including a same-slot insertion).
     ///
-    /// This is the parallel engine's *hazard probe*: a slot may only run a
-    /// processor's access on a worker thread if the target bank's ATT is
-    /// provably indifferent to it — no same-offset entry from anyone else,
+    /// This is the windowed engine's single-slot *hazard probe*: a slot may
+    /// only run a processor's access through the fused kernel if the
+    /// target bank's ATT is provably indifferent to it — no same-offset
+    /// entry from anyone else,
     /// so every comparison ([`Self::read_conflict`],
     /// [`Self::write_verdict`]) is statically `None`/`Proceed` and no
     /// restart/abort/hold can reach across banks. O(1) on the offset

@@ -18,12 +18,12 @@ use crate::{BankId, BlockOffset, Cycle, ProcId, Word};
 /// Struct-of-arrays bank storage: every physical bank's words (and
 /// writer-id stamps, for the tear checker) in two contiguous
 /// allocations, **offset-major** — `words[offset * banks + bank]` — so
-/// one logical *block* is one contiguous slice. The parallel engine's
-/// lanes and the window execution path stream these arrays directly
-/// instead of chasing one heap allocation per bank; the per-bank
+/// one logical *block* is one contiguous slice. The fused access kernel
+/// streams these arrays directly instead of chasing one heap
+/// allocation per bank; the per-bank
 /// injection bookkeeping ([`Bank::note_injection`]'s counterpart) is a
 /// third dense array.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BankArray {
     words: Vec<Word>,
     /// Writer-id stamp per word, same offset-major layout as `words`.

@@ -69,52 +69,30 @@ impl std::error::Error for ConfigError {}
 /// Which slot engine [`crate::machine::CfmMachine::step`] and
 /// [`crate::machine::CfmMachine::run`] drive.
 ///
-/// The paper's conflict-freedom theorem (§3.1.4) makes the simulator's own
-/// hot loop parallel *by construction*: at any slot the active accesses
-/// touch pairwise-disjoint banks, so their per-slot work is independent.
-/// The windowed engine exploits this twice. [`CfmMachine::run`] proves
-/// whole runs of slots hazard-free with one scan and executes each such
-/// *window* without a single per-access ATT check; slots no window
-/// covers go through a plan → execute → merge pipeline that shards
-/// processors across lanes while committing results in deterministic
-/// processor order. Traces, stats and [`crate::op::Completion`] streams
-/// stay byte-identical to the sequential engine (see
-/// `docs/performance.md` for the safety argument).
+/// The paper's conflict-freedom theorem (§3.1.4) guarantees that at any
+/// slot the active accesses touch pairwise-disjoint banks, so a slot's
+/// per-processor work needs no arbitration once its offsets are proven
+/// uncontended. The windowed engine exploits this: [`CfmMachine::run`]
+/// proves whole runs of slots hazard-free with one scan and executes
+/// each such *window* without a single per-access ATT check, and every
+/// other slot is planned read-only and, when proven, executed through
+/// the same fused access kernel. Traces, stats and
+/// [`crate::op::Completion`] streams stay byte-identical to the
+/// sequential engine (see `docs/performance.md` for the safety
+/// argument).
 ///
 /// [`CfmMachine::run`]: crate::machine::CfmMachine::run
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// Walk processors in order on the calling thread, one slot at a
-    /// time — the reference stepper and test oracle. Selected explicitly
-    /// with [`CfmConfig::with_engine`].
+    /// Walk processors in order, one slot at a time, checking every
+    /// access — the reference stepper and test oracle. Selected
+    /// explicitly with [`CfmConfig::with_engine`].
     Sequential,
-    /// Windowed engine over `threads` execution lanes (the calling thread
-    /// plus `threads − 1` pooled workers). Proven windows run inline in
-    /// one fused pass per slot at any thread count; the lanes shard only
-    /// the single slots no window covers. `threads: 1`, the default,
-    /// spawns no threads.
-    Parallel {
-        /// Total execution lanes (clamped to at least 1).
-        threads: usize,
-    },
-}
-
-impl Default for Engine {
-    /// The inline windowed engine, `Parallel { threads: 1 }`.
-    fn default() -> Self {
-        Engine::Parallel { threads: 1 }
-    }
-}
-
-impl Engine {
-    /// Execution lanes this engine uses (1 for the sequential engine).
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        match self {
-            Engine::Sequential => 1,
-            Engine::Parallel { threads } => (*threads).max(1),
-        }
-    }
+    /// The default: proven windows and proven single slots run through
+    /// one fused access kernel on the calling thread; any slot the plan
+    /// cannot prove falls back to the sequential stepper.
+    #[default]
+    Windowed,
 }
 
 /// A fully conflict-free CFM configuration.
@@ -166,20 +144,11 @@ impl CfmConfig {
         Ok(self)
     }
 
-    /// Select the slot engine. The default is the inline windowed engine,
-    /// `Engine::Parallel { threads: 1 }`; more threads shard the per-slot
-    /// work outside proven windows across worker lanes, and
-    /// [`Engine::Sequential`] selects the per-slot reference stepper.
-    /// Every engine keeps the
+    /// Select the slot engine: [`Engine::Windowed`] (the default) or the
+    /// per-slot reference stepper [`Engine::Sequential`]. Both keep the
     /// observable behaviour (completions, stats, traces) byte-identical.
-    /// Thread counts are clamped to at least 1; this cannot fail.
     pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = match engine {
-            Engine::Parallel { threads } => Engine::Parallel {
-                threads: threads.max(1),
-            },
-            Engine::Sequential => Engine::Sequential,
-        };
+        self.engine = engine;
         self
     }
 
@@ -432,28 +401,20 @@ mod tests {
     }
 
     #[test]
-    fn engine_selection_defaults_inline_windows_and_clamps_threads() {
+    fn engine_selection_defaults_to_windowed() {
         let cfg = CfmConfig::new(4, 1, 8).unwrap();
-        assert_eq!(cfg.engine(), Engine::Parallel { threads: 1 });
+        assert_eq!(cfg.engine(), Engine::Windowed);
         assert_eq!(cfg.engine(), Engine::default());
-        assert_eq!(cfg.engine().lanes(), 1);
         assert_eq!(
             CfmConfig::from_block(256, 8, 2).unwrap().engine(),
             Engine::default()
         );
         let seq = cfg.with_engine(Engine::Sequential);
         assert_eq!(seq.engine(), Engine::Sequential);
-        assert_eq!(seq.engine().lanes(), 1);
-        let par = cfg.with_engine(Engine::Parallel { threads: 4 });
-        assert_eq!(par.engine(), Engine::Parallel { threads: 4 });
-        assert_eq!(par.engine().lanes(), 4);
-        // A zero thread count is clamped, never a panic.
-        let one = cfg.with_engine(Engine::Parallel { threads: 0 });
-        assert_eq!(one.engine(), Engine::Parallel { threads: 1 });
         // The engine is a performance knob, not a shape parameter: timing
         // quantities are untouched.
-        assert_eq!(par.banks(), cfg.banks());
-        assert_eq!(par.block_access_time(), cfg.block_access_time());
+        assert_eq!(seq.banks(), cfg.banks());
+        assert_eq!(seq.block_access_time(), cfg.block_access_time());
     }
 
     #[test]

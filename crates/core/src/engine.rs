@@ -1,32 +1,20 @@
-//! Worker-thread pool for the parallel slot engine.
+//! A small pool of **persistent parked workers**, each with a single-task
+//! mailbox — the primitive a thread-based service loop needs.
+//! `cfm-serve` hosts its event loop on a one-worker pool, getting the
+//! park/wake discipline, panic propagation, and join-on-drop for free.
+//! (The machine itself runs on the calling thread: its windowed engine
+//! proves slots hazard-free instead of sharding them across threads —
+//! see `docs/performance.md`.)
 //!
-//! [`crate::machine::CfmMachine::step`] with
-//! [`crate::config::Engine::Parallel`] shards each slot's per-processor
-//! work across execution lanes (see `docs/performance.md` for the
-//! plan → execute → merge pipeline and its byte-identity argument). This
-//! module provides the generic lane mechanism: a small pool of **persistent
-//! parked workers**, one per extra lane, each with a single-task mailbox.
+//! Workers block on a condvar between tasks; a dispatch costs one lock +
+//! wake. Workers never spin: on a host with fewer free cores than
+//! workers, a spinning worker would fight the dispatching thread for its
+//! own timeslice and degrade every handoff to a scheduler quantum.
 //!
-//! Why persistent threads instead of a per-slot `std::thread::scope`:
-//! spawning a thread costs tens of microseconds, which dwarfs a slot's
-//! work (a slot on a large machine is on the order of one hundred
-//! microseconds, on a small one far less), so per-slot spawning would
-//! erase the parallel win. Workers instead block on a condvar between
-//! slots; a dispatch costs one lock + wake. Workers never spin: on a
-//! machine with fewer free cores than lanes, spinning workers would fight
-//! the main thread for its own timeslice and degrade every handoff to a
-//! scheduler quantum.
-//!
-//! The pool is deliberately oblivious to what a task *is* (the machine
-//! keeps its in-flight operation layout private): it moves opaque `T`s to
+//! The pool is oblivious to what a task *is*: it moves opaque `T`s to
 //! workers and back, running a fixed closure over them. Determinism comes
-//! from the caller collecting results in lane order — the pool itself
-//! imposes no ordering between lanes.
-//!
-//! The pool is public because it is exactly the primitive a thread-based
-//! service loop needs: `cfm-serve` hosts its event loop on a one-worker
-//! pool, getting the park/wake discipline, panic propagation, and
-//! join-on-drop for free.
+//! from the caller collecting results in worker order — the pool itself
+//! imposes no ordering between workers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -81,10 +69,12 @@ impl<T: Send + 'static> WorkerPool<T> {
                 });
                 let worker_mail = Arc::clone(&mail);
                 let body = Arc::clone(&body);
+                // A stable name: per-thread CPU accounting (the
+                // benchmark's serve workloads) looks workers up by it.
                 let handle = std::thread::Builder::new()
                     .name(format!("cfm-slot-lane-{}", i + 1))
                     .spawn(move || worker_loop(worker_mail, body))
-                    .expect("spawn slot-engine worker");
+                    .expect("spawn pool worker");
                 Worker {
                     mail,
                     handle: Some(handle),
@@ -94,7 +84,7 @@ impl<T: Send + 'static> WorkerPool<T> {
         WorkerPool { workers }
     }
 
-    /// Number of pooled workers (extra lanes beyond the calling thread).
+    /// Number of pooled workers.
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
@@ -121,7 +111,7 @@ impl<T: Send + 'static> WorkerPool<T> {
         let mut slot = mail.slot.lock().expect("engine mailbox poisoned");
         loop {
             if slot.dead {
-                panic!("slot-engine worker panicked");
+                panic!("pool worker panicked");
             }
             if let Some(result) = slot.result.take() {
                 return result;

@@ -28,12 +28,11 @@
 //! * [`machine`] — [`machine::CfmMachine`], the slot-stepped simulator that
 //!   ties processors, the synchronous interconnect, banks and ATTs
 //!   together and checks the conflict-freedom invariant every cycle. By
-//!   default ([`config::Engine::Parallel`] with one thread) it runs
-//!   runtime-proven windows of slots without per-access ATT checks, and
-//!   more threads shard single slots across worker lanes — conflict freedom
-//!   makes the per-slot work disjoint by construction, and every engine
-//!   stays byte-identical to the sequential reference stepper (see
-//!   `docs/performance.md`).
+//!   default ([`config::Engine::Windowed`]) it runs runtime-proven windows
+//!   and proven single slots through one fused access kernel without
+//!   per-access ATT checks — conflict freedom makes the per-slot work
+//!   disjoint by construction, and the engine stays byte-identical to the
+//!   sequential reference stepper (see `docs/performance.md`).
 //! * [`program`] — a small "processor program" abstraction for driving the
 //!   machine with reactive per-processor logic, used by the lock
 //!   implementations and the examples.
@@ -63,14 +62,12 @@
 //!   byte-identically, or into a *larger* shape (more banks/spares) after
 //!   a drain — the substrate of `cfm-serve` live migration and
 //!   `cfm-verify restore`.
-//! * [`engine`] — the persistent [`engine::WorkerPool`] behind the
-//!   parallel slot engine, reusable by anything that needs long-lived
-//!   condvar-parked worker threads (the `cfm-serve` event loop runs on
-//!   it).
+//! * [`engine`] — the persistent [`engine::WorkerPool`] of condvar-parked
+//!   worker threads that hosts the `cfm-serve` event loop.
 //! * [`spec`] — declarative program specifications with symbolic
 //!   offsets, their static [`spec::Footprint`]s, and the
 //!   [`spec::HazardSummary`] artifact `cfm-verify analyze` proves and
-//!   the parallel planner / `cfm-serve` admission consume.
+//!   the windowed engine's planner / `cfm-serve` admission consume.
 //! * [`testing`] — the [`testing::Injector`] facade over the machine's
 //!   seeded-fault hooks, used by the verifier's self-tests.
 //!

@@ -21,14 +21,11 @@
 //! tracking is disabled (the Fig 4.1 ablation).
 
 use std::collections::VecDeque;
-use std::fmt;
-use std::sync::Arc;
 
 use crate::atspace::AtSpace;
 use crate::att::{Att, Entry, PriorityMode, TrackKind, WriteVerdict};
 use crate::bank::BankArray;
 use crate::config::{CfmConfig, Engine};
-use crate::engine::WorkerPool;
 use crate::fault::{BankMap, FaultKind, FaultPlan, FaultState, RetireAction, MASKED_WRITER};
 use crate::op::{
     BlockTransform, Completion, IssueError, OpKind, Operation, Outcome, PendingOp, StallError,
@@ -112,79 +109,6 @@ struct InFlight {
     last_progress: Cycle,
 }
 
-/// One planned word access of the parallel engine: everything the plan
-/// phase proved and precomputed about an active processor's slot, consumed
-/// by the execute phase (on a worker) and the merge phase (deferred
-/// bank/ATT commits, in processor order).
-#[derive(Debug, Clone, Copy)]
-struct ProcPlan {
-    /// The processor.
-    p: ProcId,
-    /// Index of the processor within its lane's in-flight chunk.
-    idx: usize,
-    /// Logical bank the AT-space schedule routes `p` to this slot.
-    k: BankId,
-    /// Physical bank serving `k` (`None` = masked, spare-less degraded).
-    phys: Option<usize>,
-    /// Whether the op is in its write phase (plan-time snapshot).
-    write: bool,
-    /// Whether this access inserts the write phase's ATT entry
-    /// (`visited == 0`, tracking enabled).
-    insert: bool,
-}
-
-/// Slot-wide constants shipped to the execute lanes.
-#[derive(Debug, Clone, Copy)]
-struct SlotCtx {
-    now: Cycle,
-    banks: usize,
-    bank_cycle: u64,
-    tracing: bool,
-}
-
-/// The unit of work handed to one execute lane: the lane's in-flight
-/// chunk (owned, moved in and out — no copying), its plan entries,
-/// a reusable event buffer, and shared read-only views of the banks and
-/// writer stamps. The views are `Arc`s because a pooled worker cannot
-/// borrow from the machine; they are reclaimed uncloned after every lane
-/// returns (the machine is the only holder again by merge time).
-struct SlotTask {
-    ops: Vec<Option<InFlight>>,
-    plans: Vec<ProcPlan>,
-    events: Vec<TraceEvent>,
-    banks: Option<Arc<BankArray>>,
-    ctx: SlotCtx,
-}
-
-/// Reusable per-lane buffers (plan entries, trace events) kept across
-/// slots so the parallel path allocates nothing in steady state.
-#[derive(Debug, Clone, Default)]
-struct LaneScratch {
-    plans: Vec<ProcPlan>,
-    events: Vec<TraceEvent>,
-}
-
-/// The lazily spawned worker pool. Cloning a machine clones its *state*,
-/// not its threads: the clone starts with no pool and spawns its own on
-/// first use. Debug shows only the pool size (a thread pool has no
-/// meaningful state to print).
-struct EnginePool(Option<WorkerPool<SlotTask>>);
-
-impl Clone for EnginePool {
-    fn clone(&self) -> Self {
-        EnginePool(None)
-    }
-}
-
-impl fmt::Debug for EnginePool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Some(pool) => write!(f, "EnginePool({} workers)", pool.workers()),
-            None => write!(f, "EnginePool(unspawned)"),
-        }
-    }
-}
-
 /// Why [`CfmMachine::run`] stepped a slot on its own instead of running
 /// a proven window — one count per refused attempt, under the first
 /// reason that applied, in the order the fields are listed. Read with
@@ -221,14 +145,8 @@ pub struct CfmMachine {
     /// arrays — see [`BankArray`].
     banks: BankArray,
     atts: Vec<Att>,
-    /// In-flight operations, chunked by execute lane (processor `p` lives
-    /// at `inflight[p / chunk_size][p % chunk_size]`). The chunking lets
-    /// the parallel engine move a whole lane's operations to a worker as
-    /// one `Vec` (three pointer-sized moves) instead of per-processor
-    /// moves; with the sequential engine there is exactly one chunk.
-    inflight: Vec<Vec<Option<InFlight>>>,
-    /// Processors per in-flight chunk (the last chunk may be shorter).
-    chunk_size: usize,
+    /// In-flight operation of each processor.
+    inflight: Vec<Option<InFlight>>,
     done: Vec<VecDeque<Completion>>,
     /// Recycled block-sized buffers (`read_buf`, `observed_writers`,
     /// RMW `write_data`) — completions return their buffers here and
@@ -259,18 +177,14 @@ pub struct CfmMachine {
     /// Seeded-fault hook: skip the data copy of the next remap, losing
     /// every committed write on the retired bank.
     skip_remap_copy: bool,
-    /// Worker threads of the parallel engine (never spawned under
-    /// [`Engine::Sequential`] or `Parallel { threads: 1 }`).
-    pool: EnginePool,
-    /// Per-lane reusable plan/event buffers for the parallel engine.
-    lane_scratch: Vec<LaneScratch>,
-    /// Slots executed by the plan → execute → merge pipeline (deliberately
-    /// *not* in [`Stats`]: stats must stay byte-identical across engines).
+    /// Slots executed by the fused access kernel, single proven slots and
+    /// window slots alike (deliberately *not* in [`Stats`]: stats must
+    /// stay byte-identical across engines).
     parallel_slots: u64,
     /// Statically proven hazard summary, armed by
-    /// [`CfmMachine::arm_summary`] — lets the parallel planner skip the
+    /// [`CfmMachine::arm_summary`] — lets the single-slot planner skip the
     /// dynamic ATT probe for statically safe offsets and dispatch whole
-    /// proven windows per handoff. Disarmed by any fault plan, seeded
+    /// proven windows. Disarmed by any fault plan, seeded
     /// fault hook, or undeclared issue (trust-but-verify).
     summary: Option<HazardSummary>,
     /// Slots executed inside statically proven windows (kept out of
@@ -317,12 +231,9 @@ pub struct CfmMachine {
 /// assert!(m.trace().is_some());
 /// ```
 ///
-/// The builder subsumes the deprecated `new` / `with_options` /
-/// `set_fault_plan` / `enable_trace` constructors-and-mutators; seeded
-/// fault hooks (the old `inject_*` methods) live behind the
-/// [`crate::testing::Injector`] facade, reachable here through
-/// [`CfmMachineBuilder::inject`] and at runtime through
-/// [`CfmMachine::injector`].
+/// Seeded fault hooks live behind the [`crate::testing::Injector`]
+/// facade, reachable here through [`CfmMachineBuilder::inject`] and at
+/// runtime through [`CfmMachine::injector`].
 pub struct CfmMachineBuilder {
     config: CfmConfig,
     offsets: usize,
@@ -379,8 +290,7 @@ impl CfmMachineBuilder {
     }
 
     /// Seed test faults through the [`crate::testing::Injector`] facade
-    /// before the machine is handed back — the builder-reachable form of
-    /// the old `inject_*` footguns:
+    /// before the machine is handed back:
     ///
     /// ```
     /// use cfm_core::config::CfmConfig;
@@ -438,54 +348,18 @@ impl CfmMachine {
         }
     }
 
-    /// A machine with the given configuration and `offsets` blocks of
-    /// shared memory, address tracking enabled, in the swap-capable
-    /// earliest-wins priority mode (§4.2.1).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CfmMachine::builder(config).offsets(offsets).build()`"
-    )]
-    pub fn new(config: CfmConfig, offsets: usize) -> Self {
-        Self::construct(config, offsets, true, PriorityMode::EarliestWins)
-    }
-
-    /// Full constructor. `att_enabled = false` reproduces the Fig 4.1
-    /// inconsistency; [`PriorityMode::LatestWins`] is the plain-write mode
-    /// of §4.1.2 (no swap support).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CfmMachine::builder(config).offsets(..).tracking(..).priority(..).build()`"
-    )]
-    pub fn with_options(
-        config: CfmConfig,
-        offsets: usize,
-        att_enabled: bool,
-        mode: PriorityMode,
-    ) -> Self {
-        Self::construct(config, offsets, att_enabled, mode)
-    }
-
-    /// The one true constructor behind both the builder and the
-    /// deprecated shims.
+    /// The constructor behind the builder and snapshot restore.
     fn construct(config: CfmConfig, offsets: usize, att_enabled: bool, mode: PriorityMode) -> Self {
         let b = config.banks();
         // Banks and writer stamps are *physical* (spares included); the
         // schedule, the ATTs and every trace event stay *logical*.
         let physical = config.total_banks();
         let n = config.processors();
-        // One in-flight chunk per execute lane; the sequential engine is
-        // a single lane (one chunk holding every processor).
-        let lanes = config.engine().lanes().min(n).max(1);
-        let chunk_size = n.div_ceil(lanes);
-        let chunks = n.div_ceil(chunk_size);
         CfmMachine {
             space: AtSpace::new(&config),
             banks: BankArray::new(physical, offsets),
             atts: (0..b).map(|_| Att::with_offsets(b, offsets)).collect(),
-            inflight: (0..chunks)
-                .map(|i| vec![None; chunk_size.min(n - i * chunk_size)])
-                .collect(),
-            chunk_size,
+            inflight: vec![None; n],
             done: vec![VecDeque::new(); n],
             buf_pool: Vec::new(),
             cycle: 0,
@@ -499,8 +373,6 @@ impl CfmMachine {
             bank_map: BankMap::new(b, config.spares()),
             retry_suppressions: 0,
             skip_remap_copy: false,
-            pool: EnginePool(None),
-            lane_scratch: vec![LaneScratch::default(); chunks],
             parallel_slots: 0,
             summary: None,
             static_slots: 0,
@@ -516,19 +388,9 @@ impl CfmMachine {
     }
 
     /// Install a fault plan, replacing any previous plan and its
-    /// progress. Install before driving the machine: events whose slot
-    /// has already passed fire on the next step.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CfmMachineBuilder::fault_plan` (or \
-                `machine.injector().fault_plan(..)` at runtime)"
-    )]
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.install_fault_plan(plan);
-    }
-
-    /// Non-deprecated internal path behind the builder and the
-    /// [`crate::testing::Injector`] facade.
+    /// progress — the path behind the builder and the
+    /// [`crate::testing::Injector`] facade. Events whose slot has already
+    /// passed fire on the next step.
     pub(crate) fn install_fault_plan(&mut self, plan: FaultPlan) {
         // Faults perturb accesses in ways no static proof covers.
         self.disarm_with(DisarmReason::FaultPlan);
@@ -541,47 +403,8 @@ impl CfmMachine {
         &self.bank_map
     }
 
-    /// Seeded-fault hook for the chaos self-tests: corrupt the bank map
-    /// by forcing `logical` onto `physical` without retiring anyone —
-    /// the "undetected bank death" the injectivity detector must refuse
-    /// to certify.
-    #[deprecated(since = "0.2.0", note = "use `machine.injector().bank_alias(..)`")]
-    pub fn inject_bank_alias(&mut self, logical: BankId, physical: usize) {
-        self.seed_bank_alias(logical, physical);
-    }
-
-    /// Seeded-fault hook for the chaos self-tests: let the next `count`
-    /// transient-faulted accesses proceed (with a corrupted word) instead
-    /// of retrying — the "missed retry" the durability detector must
-    /// catch.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `machine.injector().suppress_retries(..)`"
-    )]
-    pub fn inject_retry_suppression(&mut self, count: u64) {
-        self.seed_retry_suppression(count);
-    }
-
-    /// Seeded-fault hook for the chaos self-tests: the next remap skips
-    /// its data copy, losing every committed write on the retired bank —
-    /// the "remap losing a write" the durability detector must catch.
-    #[deprecated(since = "0.2.0", note = "use `machine.injector().skip_remap_copy()`")]
-    pub fn inject_remap_copy_skip(&mut self) {
-        self.seed_remap_copy_skip();
-    }
-
     /// Start recording a [`MemoryTrace`] (idempotent; an active trace
-    /// keeps accumulating).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CfmMachineBuilder::trace(true)` (or `drain_trace` to \
-                restart tracing mid-run)"
-    )]
-    pub fn enable_trace(&mut self) {
-        self.start_trace();
-    }
-
-    /// Non-deprecated internal path behind the builder, wrappers, and
+    /// keeps accumulating) — the path behind the builder, wrappers, and
     /// [`Self::drain_trace`].
     pub(crate) fn start_trace(&mut self) {
         if self.trace.is_none() {
@@ -620,18 +443,6 @@ impl CfmMachine {
         if let Some(t) = self.trace.as_mut() {
             t.clear();
         }
-    }
-
-    /// Fault injection for the trace self-tests: silently drop the next
-    /// `count` ATT insertions, so the corresponding write phases go
-    /// untracked and same-block races slip past the arbitration — the
-    /// race detector must catch the consequences.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `machine.injector().drop_att_inserts(..)`"
-    )]
-    pub fn inject_att_insert_drops(&mut self, count: u64) {
-        self.seed_att_insert_drops(count);
     }
 
     /// Seeded-fault facade over the machine's test hooks — see
@@ -700,16 +511,17 @@ impl CfmMachine {
         &self.stats
     }
 
-    /// Slots executed by the parallel plan → execute → merge pipeline
-    /// (always 0 under [`Engine::Sequential`]; slots the plan hands back
-    /// to the sequential fallback are not counted). Kept out of
-    /// [`Stats`] so stats stay byte-identical across engines.
+    /// Slots executed by the fused access kernel — proven single slots
+    /// plus every window slot (always 0 under [`Engine::Sequential`];
+    /// slots the plan hands back to the sequential fallback are not
+    /// counted). Kept out of [`Stats`] so stats stay byte-identical
+    /// across engines.
     pub fn parallel_slots(&self) -> u64 {
         self.parallel_slots
     }
 
     /// Arm a statically proven [`HazardSummary`] from `cfm-verify
-    /// analyze`. While armed, the parallel planner skips the dynamic ATT
+    /// analyze`. While armed, the single-slot planner skips the dynamic ATT
     /// hazard probe for offsets the footprint proves safe, and
     /// [`Self::run`] dispatches whole proven windows instead of one
     /// slot at a time ([`Self::static_slots`] /
@@ -819,18 +631,6 @@ impl CfmMachine {
         self.banks.offsets()
     }
 
-    /// Processor `p`'s in-flight slot within the chunked storage.
-    #[inline]
-    fn op_ref(&self, p: ProcId) -> &Option<InFlight> {
-        &self.inflight[p / self.chunk_size][p % self.chunk_size]
-    }
-
-    /// Mutable form of [`Self::op_ref`].
-    #[inline]
-    fn op_mut(&mut self, p: ProcId) -> &mut Option<InFlight> {
-        &mut self.inflight[p / self.chunk_size][p % self.chunk_size]
-    }
-
     /// A zeroed block-sized buffer, recycled from [`Self::buf_pool`] when
     /// one is available.
     fn take_buf(&mut self) -> Box<[u64]> {
@@ -852,12 +652,12 @@ impl CfmMachine {
 
     /// Whether processor `p` has an operation in flight.
     pub fn is_busy(&self, p: ProcId) -> bool {
-        self.op_ref(p).is_some()
+        self.inflight[p].is_some()
     }
 
     /// Whether every processor is idle.
     pub fn is_idle(&self) -> bool {
-        self.inflight.iter().flatten().all(|s| s.is_none())
+        self.inflight.iter().all(Option::is_none)
     }
 
     /// Read a block directly (debug/test access, not a timed operation).
@@ -889,7 +689,6 @@ impl CfmMachine {
     pub fn pending_ops(&self) -> Vec<(ProcId, PendingOp)> {
         self.inflight
             .iter()
-            .flatten()
             .enumerate()
             .filter_map(|(p, slot)| {
                 slot.as_ref().map(|op| {
@@ -978,7 +777,7 @@ impl CfmMachine {
         self.next_op_id += 1;
         let read_buf = self.take_buf();
         let observed_writers = self.take_buf();
-        *self.op_mut(p) = Some(InFlight {
+        self.inflight[p] = Some(InFlight {
             kind,
             offset,
             write_data,
@@ -1018,14 +817,14 @@ impl CfmMachine {
 
     /// Simulate one CPU cycle (one time slot).
     ///
-    /// The slot runs as a *plan → execute → merge* pipeline under the
-    /// windowed engine ([`Engine::Parallel`], the default): the plan phase
-    /// proves the slot hazard-free and, if it succeeds, the per-processor
-    /// word accesses run sharded across execute lanes with their bank and
-    /// ATT commits merged back in processor order — byte-identical traces,
-    /// stats and completions (see `docs/performance.md`). Any slot the
-    /// plan cannot prove falls back to the sequential path, unchanged.
-    /// Proven multi-slot windows run only from [`Self::run`].
+    /// Under the windowed engine ([`Engine::Windowed`], the default) the
+    /// slot runs as *plan → fused execute*: a read-only plan proves the
+    /// slot hazard-free and, if it succeeds, every processor's word
+    /// access runs in processor order through the fused access kernel
+    /// proven windows use — byte-identical traces, stats and completions
+    /// (see `docs/performance.md`). Any slot the plan cannot prove falls
+    /// back to the sequential path, unchanged. Proven multi-slot windows
+    /// run only from [`Self::run`].
     pub fn step(&mut self) {
         let now = self.cycle;
         // Move the trace out of `self` so the hooks can borrow it as a
@@ -1033,9 +832,12 @@ impl CfmMachine {
         // `NullSink` keeps the untraced path allocation-free.
         let mut active = self.trace.take();
         self.step_prologue(now, &mut active);
-        let ran_parallel = matches!(self.config.engine(), Engine::Parallel { .. })
-            && self.parallel_slot(now, &mut active);
-        if !ran_parallel {
+        let proven = self.config.engine() == Engine::Windowed
+            && match active.as_mut() {
+                Some(trace) => self.parallel_slot(now, trace),
+                None => self.parallel_slot(now, &mut NullSink),
+            };
+        if !proven {
             self.step_procs(now, &mut active);
         }
         self.step_epilogue(now, &mut active);
@@ -1075,7 +877,7 @@ impl CfmMachine {
     }
 
     /// The sequential per-processor slot loop — the reference engine, and
-    /// the fallback for every slot the parallel plan cannot prove
+    /// the fallback for every slot the single-slot plan cannot prove
     /// hazard-free.
     fn step_procs(&mut self, now: Cycle, active: &mut Option<MemoryTrace>) {
         let b = self.config.banks();
@@ -1085,11 +887,11 @@ impl CfmMachine {
             None => &mut null,
         };
         for p in 0..self.config.processors() {
-            let Some(mut op) = self.op_mut(p).take() else {
+            let Some(mut op) = self.inflight[p].take() else {
                 continue;
             };
             if op.phase == Phase::Drain || now < op.sleep_until {
-                *self.op_mut(p) = Some(op);
+                self.inflight[p] = Some(op);
                 continue;
             }
             let k = self.space.route_traced(now, p, sink);
@@ -1102,7 +904,7 @@ impl CfmMachine {
                     CORRUPT_MASK
                 } else {
                     self.transient_retry(&mut op, p, k, now, sink);
-                    *self.op_mut(p) = Some(op);
+                    self.inflight[p] = Some(op);
                     continue;
                 }
             } else {
@@ -1302,7 +1104,7 @@ impl CfmMachine {
                 }
                 Phase::Drain => unreachable!(),
             }
-            *self.op_mut(p) = Some(op);
+            self.inflight[p] = Some(op);
         }
     }
 
@@ -1318,7 +1120,7 @@ impl CfmMachine {
         };
         for p in 0..self.config.processors() {
             let ready = matches!(
-                self.op_ref(p),
+                &self.inflight[p],
                 Some(op) if op.phase == Phase::Drain && op.completes_at <= now
             );
             if ready {
@@ -1337,13 +1139,13 @@ impl CfmMachine {
                         slot: now,
                         fault: kind,
                     });
-                    let op = self.op_mut(p).as_mut().expect("checked above");
+                    let op = self.inflight[p].as_mut().expect("checked above");
                     op.completes_at = now + b as u64;
                     op.restarts += 1;
                     op.last_progress = now;
                     continue;
                 }
-                let mut op = self.op_mut(p).take().expect("checked above");
+                let mut op = self.inflight[p].take().expect("checked above");
                 // Defensive: no delivered operation may leave a pinned
                 // ATT entry behind (reachable only if the seeded
                 // insert-drop hook swallowed the resume re-insert).
@@ -1408,204 +1210,60 @@ impl CfmMachine {
         }
     }
 
-    /// Attempt slot `now` as a plan → execute → merge pipeline. Returns
-    /// `false` (having mutated nothing) when the slot is not provably
+    /// Attempt slot `now` as *plan → fused execute*. Returns `false`
+    /// (having mutated nothing) when the slot is not provably
     /// hazard-free, or when no processor injects this slot.
     ///
-    /// **Plan** (pure): for every processor injecting this slot, snapshot
-    /// `(bank, phase, physical bank, ATT-insert?)` and check the hazard
-    /// conditions — a pending transient fault on the routed bank, a held
-    /// ATT entry, or *any* other processor's entry arbitrating the same
-    /// offset. A hazard-free slot statically guarantees what the
-    /// sequential loop would discover dynamically: every read's
-    /// `read_conflict` is `None`, every write verdict is `Proceed`, no
-    /// restart/abort/hold mutates another lane's state.
+    /// **Plan** (read-only): for every processor injecting this slot,
+    /// check the hazard conditions — a pending transient fault on the
+    /// routed bank, a held ATT entry, or *any* other processor's entry
+    /// arbitrating the same offset. A hazard-free slot statically
+    /// guarantees what the sequential loop would discover dynamically:
+    /// every read's `read_conflict` is `None`, every write verdict is
+    /// `Proceed`, and no restart, abort or hold occurs.
     ///
-    /// **Execute**: each lane walks its plan entries against shared
-    /// *read-only* bank/writer views, mutating only its own in-flight
-    /// chunk and appending trace events to its own buffer. Per-slot bank
-    /// disjointness (the paper's invariant) plus deferred writes make the
-    /// lanes non-interfering: a same-slot write can never be observed by
-    /// a same-slot read even in the sequential engine, because the two
-    /// would have to touch the same bank in the same slot.
-    ///
-    /// **Merge** (sequential, ascending processor order — the order the
-    /// sequential loop commits in): append each lane's events, then apply
-    /// the deferred ATT inserts, bank writes, writer stamps and stats.
-    /// Ordering the commits cannot change any value: banks written this
-    /// slot were not read this slot (disjointness), same-slot ATT entries
-    /// are invisible to every verdict filter (`now > inserted_at`), and
-    /// the stat increments are commutative sums.
-    fn parallel_slot(&mut self, now: Cycle, active: &mut Option<MemoryTrace>) -> bool {
+    /// **Execute**: walk the processors in order through the fused
+    /// access kernel ([`Kernel::access`]) — the sequential loop minus
+    /// the checks the plan discharged, so events, bank commits and ATT
+    /// inserts land in the sequential engine's exact order.
+    fn parallel_slot<S: TraceSink + ?Sized>(&mut self, now: Cycle, sink: &mut S) -> bool {
         // Seeded-fault hooks perturb individual accesses in ways the plan
         // does not model — let the sequential engine handle those slots.
         if self.att_insert_drops > 0 || self.retry_suppressions > 0 {
             return false;
         }
-        let b = self.config.banks();
-        let chunk_size = self.chunk_size;
-        let chunks = self.inflight.len();
-        // Plan: pure reads only, so bailing out costs nothing.
-        let mut actives = 0usize;
-        let mut hazard = false;
-        {
-            let inflight = &self.inflight;
-            let scratch = &mut self.lane_scratch;
-            let atts = &self.atts;
-            let space = &self.space;
-            let fault_state = &self.fault_state;
-            let bank_map = &self.bank_map;
-            let att_enabled = self.att_enabled;
-            let summary = self.summary.as_ref();
-            'plan: for (ci, chunk) in inflight.iter().enumerate() {
-                let plans = &mut scratch[ci].plans;
-                debug_assert!(plans.is_empty());
-                for (idx, slot) in chunk.iter().enumerate() {
-                    let Some(op) = slot.as_ref() else { continue };
-                    if op.phase == Phase::Drain || now < op.sleep_until {
-                        continue;
-                    }
-                    let p = ci * chunk_size + idx;
-                    let k = space.bank_for(now, p);
-                    // A statically safe offset (no other processor ever
-                    // writes it, per the armed summary) cannot have a
-                    // foreign ATT entry — the dynamic probe is provably
-                    // negative and is skipped.
-                    let statically_safe = summary.is_some_and(|s| s.plan_safe(op.offset, p));
-                    if fault_state.transient_fault(now, k)
-                        || op.held_entry.is_some()
-                        || (att_enabled
-                            && !statically_safe
-                            && atts[k].contended_by_other(op.offset, p))
-                    {
-                        hazard = true;
-                        break 'plan;
-                    }
-                    let write = op.phase == Phase::Write;
-                    plans.push(ProcPlan {
-                        p,
-                        idx,
-                        k,
-                        phys: bank_map.phys(k),
-                        write,
-                        insert: write && op.visited == 0 && att_enabled,
-                    });
-                    actives += 1;
-                }
+        let (b, c) = (self.config.banks(), self.config.bank_cycle() as usize);
+        let injects = |op: &InFlight| op.phase != Phase::Drain && now >= op.sleep_until;
+        let mut injecting = false;
+        for ((p, slot), k) in self.inflight.iter().enumerate().zip(slot_banks(now, b, c)) {
+            let Some(op) = slot.as_ref().filter(|op| injects(op)) else {
+                continue;
+            };
+            // A statically safe offset (no other processor ever writes
+            // it, per the armed summary) cannot have a foreign ATT entry
+            // — the dynamic probe is provably negative and is skipped.
+            let statically_safe = self
+                .summary
+                .as_ref()
+                .is_some_and(|s| s.plan_safe(op.offset, p));
+            if self.fault_state.transient_fault(now, k)
+                || op.held_entry.is_some()
+                || (self.att_enabled
+                    && !statically_safe
+                    && self.atts[k].contended_by_other(op.offset, p))
+            {
+                return false;
             }
+            injecting = true;
         }
-        if hazard || actives == 0 {
-            for s in &mut self.lane_scratch {
-                s.plans.clear();
-            }
+        if !injecting {
             return false;
         }
-        // Execute: move each lane's chunk out, share the banks and writer
-        // stamps read-only, run extra lanes on the pool and lane 0 here.
-        let banks = Arc::new(std::mem::take(&mut self.banks));
-        let ctx = SlotCtx {
-            now,
-            banks: b,
-            bank_cycle: self.config.bank_cycle() as u64,
-            tracing: active.is_some(),
-        };
-        if chunks > 1 && self.pool.0.is_none() {
-            self.pool.0 = Some(WorkerPool::new(chunks - 1, run_lane));
-        }
-        for ci in 1..chunks {
-            let scratch = &mut self.lane_scratch[ci];
-            let task = SlotTask {
-                ops: std::mem::take(&mut self.inflight[ci]),
-                plans: std::mem::take(&mut scratch.plans),
-                events: std::mem::take(&mut scratch.events),
-                banks: Some(Arc::clone(&banks)),
-                ctx,
-            };
-            self.pool
-                .0
-                .as_ref()
-                .expect("pool spawned above")
-                .dispatch(ci - 1, task);
-        }
-        let mut local = SlotTask {
-            ops: std::mem::take(&mut self.inflight[0]),
-            plans: std::mem::take(&mut self.lane_scratch[0].plans),
-            events: std::mem::take(&mut self.lane_scratch[0].events),
-            banks: Some(Arc::clone(&banks)),
-            ctx,
-        };
-        run_lane(&mut local);
-        // Merge, part 1: take every lane back in ascending lane (= proc)
-        // order, restoring its chunk and buffers and appending its events
-        // — the exact emission order of the sequential loop.
-        for ci in 0..chunks {
-            let mut task = if ci == 0 {
-                std::mem::replace(
-                    &mut local,
-                    SlotTask {
-                        ops: Vec::new(),
-                        plans: Vec::new(),
-                        events: Vec::new(),
-                        banks: None,
-                        ctx,
-                    },
-                )
-            } else {
-                self.pool
-                    .0
-                    .as_ref()
-                    .expect("pool spawned above")
-                    .collect(ci - 1)
-            };
-            task.banks = None;
-            self.inflight[ci] = task.ops;
-            if let Some(t) = active.as_mut() {
-                t.append(&mut task.events);
+        let (mut kernel, inflight) = self.kernel();
+        for ((p, slot), k) in inflight.iter_mut().enumerate().zip(slot_banks(now, b, c)) {
+            if let Some(op) = slot.as_mut().filter(|op| injects(op)) {
+                kernel.access(op, p, k, now, sink);
             }
-            let scratch = &mut self.lane_scratch[ci];
-            scratch.plans = task.plans;
-            scratch.events = task.events;
-        }
-        // Every lane view is back: reclaim the sole ownership.
-        self.banks =
-            Arc::try_unwrap(banks).unwrap_or_else(|_| unreachable!("all lane bank views returned"));
-        // Merge, part 2: the deferred commits, in processor order.
-        for ci in 0..chunks {
-            let plans = std::mem::take(&mut self.lane_scratch[ci].plans);
-            for plan in &plans {
-                let (offset, kind, op_id, word) = {
-                    let op = self.inflight[ci][plan.idx].as_ref().expect("planned op");
-                    let word = if plan.write { op.write_data[plan.k] } else { 0 };
-                    (op.offset, op.kind, op.op_id, word)
-                };
-                if plan.write {
-                    if plan.insert {
-                        self.atts[plan.k].insert(Entry {
-                            offset,
-                            kind: track_kind(kind),
-                            proc: plan.p,
-                            inserted_at: now,
-                        });
-                    }
-                    if let Some(ph) = plan.phys {
-                        self.banks.write(ph, offset, word);
-                        self.banks.stamp(ph, offset, op_id);
-                    }
-                }
-                if let Some(ph) = plan.phys {
-                    if !self.banks.note_injection(ph, now) {
-                        // Impossible under the AT-space schedule; recorded,
-                        // not fatal.
-                        self.stats.bank_conflicts += 1;
-                    }
-                    self.stats.word_accesses += 1;
-                } else {
-                    self.stats.masked_accesses += 1;
-                }
-            }
-            let mut plans = plans;
-            plans.clear();
-            self.lane_scratch[ci].plans = plans;
         }
         self.parallel_slots += 1;
         true
@@ -1740,8 +1398,7 @@ impl CfmMachine {
         // Stalled. Reconstruct the operation for the diagnostic from its
         // in-flight state (present by construction: a delivered completion
         // would have been polled above) — the completing path never clones.
-        let f = self
-            .op_ref(p)
+        let f = self.inflight[p]
             .as_ref()
             .expect("stalled operation is still in flight");
         let last_progress = f.last_progress;
@@ -1768,29 +1425,13 @@ impl CfmMachine {
         })
     }
 
-    /// Step until every processor is idle (or `max_cycles` elapse),
-    /// returning all completions in delivery order. `Err` carries the
-    /// completions gathered before the cycle budget ran out.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CfmMachine::run`, which returns a typed `RunReport`"
-    )]
-    pub fn run_until_idle(&mut self, max_cycles: u64) -> Result<Vec<Completion>, Vec<Completion>> {
-        let report = self.run(max_cycles);
-        if report.is_idle() {
-            Ok(report.completions)
-        } else {
-            Err(report.completions)
-        }
-    }
-
     /// Attempt to run the next slots as one statically proven window
     /// ([`Self::step_window`]), returning the number of slots executed
     /// (0 = preconditions not met; the caller falls back to
     /// [`Self::step`]).
     ///
     /// A window engages only when: a [`HazardSummary`] is armed, the
-    /// engine is parallel, the fault state and seeded hooks are fully
+    /// engine is windowed, the fault state and seeded hooks are fully
     /// quiescent, and every in-flight operation is mid-phase — not
     /// draining, not sleeping, not fault-stalled — on a statically safe
     /// offset. The width stops strictly before any operation's final
@@ -1800,7 +1441,7 @@ impl CfmMachine {
     /// stepping. Traced runs take the window path too, emitting events
     /// in the sequential engine's exact order (byte-pinned).
     fn try_step_window(&mut self, budget: u64) -> u64 {
-        if budget < 2 || !matches!(self.config.engine(), Engine::Parallel { .. }) {
+        if budget < 2 || self.config.engine() != Engine::Windowed {
             return 0;
         }
         let Some(summary) = self.summary.as_ref() else {
@@ -1816,7 +1457,7 @@ impl CfmMachine {
         let now = self.cycle;
         let mut min_remaining = u64::MAX;
         let mut actives = 0usize;
-        for (p, slot) in self.inflight.iter().flatten().enumerate() {
+        for (p, slot) in self.inflight.iter().enumerate() {
             let Some(op) = slot.as_ref() else { continue };
             if op.phase == Phase::Drain
                 || now < op.sleep_until
@@ -1870,7 +1511,7 @@ impl CfmMachine {
     /// `read_conflict` is `None`, every write verdict is `Proceed` —
     /// so the whole window commits without a single per-access check.
     fn try_step_dynamic_window(&mut self, budget: u64) -> u64 {
-        if !matches!(self.config.engine(), Engine::Parallel { .. }) {
+        if self.config.engine() != Engine::Windowed {
             return 0;
         }
         if self.att_insert_drops > 0
@@ -1884,8 +1525,7 @@ impl CfmMachine {
         let now = self.cycle;
         let mut min_remaining = u64::MAX;
         let mut actives = 0usize;
-        for slot in self.inflight.iter().flatten() {
-            let Some(op) = slot.as_ref() else { continue };
+        for op in self.inflight.iter().flatten() {
             if op.phase == Phase::Drain || now < op.sleep_until || op.held_entry.is_some() {
                 self.window_refusals.op_busy += 1;
                 return 0;
@@ -1948,7 +1588,7 @@ impl CfmMachine {
                     }
                 }
             }
-            for (p, slot) in self.inflight.iter().flatten().enumerate() {
+            for (p, slot) in self.inflight.iter().enumerate() {
                 let Some(op) = slot.as_ref() else { continue };
                 if mark(op.offset, p as u32, op.kind != OpKind::Read) {
                     hazard = true;
@@ -1976,8 +1616,7 @@ impl CfmMachine {
     /// sleeps, or meets any ATT verdict other than an implicit `Proceed`
     /// inside it, and no offset is both written and observed by
     /// different processors. The window runs as one fused pass per slot
-    /// ([`Self::window_inline`]) whatever the lane count: the lanes serve
-    /// only single-slot [`Self::parallel_slot`] handoffs.
+    /// ([`Self::window_inline`]).
     fn step_window(&mut self, w: u64, dynamic: bool) {
         let mut active = self.trace.take();
         match active.as_mut() {
@@ -1997,33 +1636,47 @@ impl CfmMachine {
         }
     }
 
-    /// The fused window kernel: one pass per slot against the live
-    /// banks — ATT expiry (on slots where an entry is due), then for
-    /// each processor in order the
-    /// injection check, the bank read or write + writer stamp, and the
-    /// ATT insert at a write phase's first access — emitting trace
-    /// events in the sequential engine's exact order.
+    /// The machine state the fused access kernel mutates, borrowed apart
+    /// from the in-flight table so a slot can walk the operations while
+    /// it commits their accesses.
+    fn kernel(&mut self) -> (Kernel<'_>, &mut [Option<InFlight>]) {
+        let CfmMachine {
+            config,
+            banks,
+            atts,
+            inflight,
+            stats,
+            att_enabled,
+            bank_map,
+            ..
+        } = self;
+        let kernel = Kernel {
+            atts,
+            banks,
+            bank_map,
+            stats,
+            att_enabled: *att_enabled,
+            banks_per_block: config.banks(),
+            bank_cycle: u64::from(config.bank_cycle()),
+        };
+        (kernel, inflight)
+    }
+
+    /// Run `w` slots of a proven window: one pass per slot against the
+    /// live banks — ATT expiry (on slots where an entry is due), then
+    /// every in-flight operation's access, in processor order, through
+    /// the fused access kernel ([`Kernel::access`]).
     ///
-    /// This is [`Self::step_procs`] minus every per-access check the
-    /// window proof discharged: no read conflict, write verdict,
-    /// transient fault, backoff or completion can occur inside the
-    /// window. Reading the live banks is sound because no offset is both
-    /// written and observed by different processors, so every read sees
-    /// what the sequential engine's read sees.
+    /// The window proof discharged every per-access check, and the width
+    /// stops before any operation's final access, so no operation enters
+    /// its drain inside a window. Reading the live banks is sound because
+    /// no offset is both written and observed by different processors,
+    /// so every read sees what the sequential engine's read sees.
     fn window_inline<S: TraceSink + ?Sized>(&mut self, w: u64, sink: &mut S) {
         let b = self.config.banks();
         let c = self.config.bank_cycle() as usize;
         let now = self.cycle;
-        let CfmMachine {
-            atts,
-            banks,
-            inflight,
-            bank_map,
-            stats,
-            att_enabled,
-            ..
-        } = self;
-        let att_enabled = *att_enabled;
+        let (mut kernel, inflight) = self.kernel();
         // The expiry sweep over all b ATTs runs only on slots where some
         // entry is due, and only entries live at the window's start can
         // fall due inside it: an entry lives b slots, while the write
@@ -2034,107 +1687,22 @@ impl CfmMachine {
                 .min()
                 .unwrap_or(Cycle::MAX)
         };
-        let mut next_expiry = horizon(atts);
-        // The AT-space schedule bank(t, p) = (t + c·p) mod b, advanced
-        // incrementally: +1 per slot, +c per processor.
-        let mut slot_bank = (now % b as u64) as usize;
+        let mut next_expiry = horizon(kernel.atts);
         for t in now..now + w {
             if t >= next_expiry {
-                for (k, att) in atts.iter_mut().enumerate() {
+                for (k, att) in kernel.atts.iter_mut().enumerate() {
                     att.expire_traced(t, k, sink);
                 }
-                next_expiry = horizon(atts);
+                next_expiry = horizon(kernel.atts);
             }
-            let mut k = slot_bank;
-            for (p, slot) in inflight.iter_mut().flatten().enumerate() {
+            for ((p, slot), k) in inflight.iter_mut().enumerate().zip(slot_banks(t, b, c)) {
                 if let Some(op) = slot.as_mut() {
-                    sink.record(TraceEvent::Route {
-                        slot: t,
-                        proc: p,
-                        bank: k,
-                    });
-                    let phys = bank_map.phys(k);
-                    match phys {
-                        Some(ph) => {
-                            if !banks.note_injection(ph, t) {
-                                // Impossible under the AT-space schedule;
-                                // recorded, not fatal.
-                                stats.bank_conflicts += 1;
-                            }
-                            stats.word_accesses += 1;
-                        }
-                        None => stats.masked_accesses += 1,
-                    }
-                    op.last_progress = t;
-                    match op.phase {
-                        Phase::Read => {
-                            match phys {
-                                Some(ph) => {
-                                    op.read_buf[k] =
-                                        banks.read_traced(ph, op.offset, t, k, p, op.op_id, sink);
-                                    op.observed_writers[k] = banks.writer(ph, op.offset);
-                                }
-                                None => {
-                                    op.read_buf[k] = 0;
-                                    op.observed_writers[k] = MASKED_WRITER;
-                                }
-                            }
-                            op.visited += 1;
-                            if op.visited == b {
-                                // Only a swap/RMW can exhaust its read
-                                // phase inside a window — the width stops
-                                // a plain read before its final access.
-                                debug_assert!(matches!(op.kind, OpKind::Swap | OpKind::Rmw));
-                                if let Some(tr) = &op.transform {
-                                    tr.apply_into(&op.read_buf, &mut op.write_data);
-                                }
-                                op.phase = Phase::Write;
-                                op.visited = 0;
-                                op.bank0_updated = false;
-                            }
-                        }
-                        Phase::Write => {
-                            if op.visited == 0 && att_enabled {
-                                atts[k].insert_traced(
-                                    Entry {
-                                        offset: op.offset,
-                                        kind: track_kind(op.kind),
-                                        proc: p,
-                                        inserted_at: t,
-                                    },
-                                    k,
-                                    op.op_id,
-                                    sink,
-                                );
-                            }
-                            if let Some(ph) = phys {
-                                banks.write_traced(
-                                    ph,
-                                    op.offset,
-                                    op.write_data[k],
-                                    t,
-                                    k,
-                                    p,
-                                    op.op_id,
-                                    sink,
-                                );
-                                banks.stamp(ph, op.offset, op.op_id);
-                            }
-                            op.bank0_updated |= k == 0;
-                            op.visited += 1;
-                            debug_assert!(op.visited < b, "window stops before the final access");
-                        }
-                        Phase::Drain => unreachable!("drain ops preclude a window"),
-                    }
+                    kernel.access(op, p, k, t, sink);
+                    debug_assert!(
+                        op.phase != Phase::Drain,
+                        "a window stops before every final access"
+                    );
                 }
-                k += c;
-                if k >= b {
-                    k -= b;
-                }
-            }
-            slot_bank += 1;
-            if slot_bank == b {
-                slot_bank = 0;
             }
         }
     }
@@ -2196,7 +1764,7 @@ impl CfmMachine {
     /// still carry live arbitration state. Undelivered completions do
     /// not block quiescence (they are at rest and restore verbatim).
     pub fn is_quiescent(&self) -> bool {
-        (0..self.config.processors()).all(|p| self.op_ref(p).is_none())
+        self.is_idle()
             && self
                 .atts
                 .iter()
@@ -2249,9 +1817,11 @@ impl CfmMachine {
                 }
             })
             .collect();
-        let inflight = (0..n)
-            .map(|p| {
-                self.op_ref(p).as_ref().map(|op| InFlightState {
+        let inflight = self
+            .inflight
+            .iter()
+            .map(|slot| {
+                slot.as_ref().map(|op| InFlightState {
                     kind: op.kind,
                     offset: op.offset,
                     write_data: op.write_data.to_vec(),
@@ -2406,8 +1976,7 @@ impl CfmMachine {
     }
 
     /// Same shape (processors, bank cycle, spares): verbatim restore.
-    /// The engine and lane layout may differ — in-flight operations are
-    /// re-chunked for the target's lanes.
+    /// The engine may differ.
     fn restore_same_shape(
         s: &MachineSnapshot,
         target: CfmConfig,
@@ -2448,7 +2017,7 @@ impl CfmMachine {
         );
         for (p, slot) in s.inflight.iter().enumerate() {
             if let Some(op) = slot {
-                *m.op_mut(p) = Some(InFlight {
+                m.inflight[p] = Some(InFlight {
                     kind: op.kind,
                     offset: op.offset,
                     write_data: op.write_data.clone().into_boxed_slice(),
@@ -2708,97 +2277,137 @@ impl RunReport {
     }
 }
 
-/// The execute phase of one lane: walk the lane's plan entries, perform
-/// the word accesses against the shared read-only bank/writer views, and
-/// advance each operation's phase machine — exactly what the sequential
-/// loop does on a hazard-free slot, minus the deferred commits
-/// ([`CfmMachine::parallel_slot`]'s merge applies those). Runs on a pooled
-/// worker thread for lanes ≥ 1 and inline on the stepping thread for
-/// lane 0.
-fn run_lane(task: &mut SlotTask) {
-    let ctx = task.ctx;
-    let banks = task.banks.as_ref().expect("lane bank view");
-    for plan in &task.plans {
-        let op = task.ops[plan.idx].as_mut().expect("planned op");
-        if ctx.tracing {
-            task.events.push(TraceEvent::Route {
-                slot: ctx.now,
-                proc: plan.p,
-                bank: plan.k,
-            });
+/// The banks processors `0, 1, …` inject into at slot `t` under the
+/// AT-space schedule `bank(t, p) = (t + c·p) mod b`, advanced
+/// incrementally (`+c` per processor) instead of a `%` per access.
+fn slot_banks(t: Cycle, b: usize, c: usize) -> impl Iterator<Item = BankId> {
+    std::iter::successors(Some((t % b as u64) as usize), move |&k| {
+        Some(if k + c >= b { k + c - b } else { k + c })
+    })
+}
+
+/// The machine state one proven word access touches (see
+/// [`CfmMachine::kernel`]).
+struct Kernel<'a> {
+    atts: &'a mut [Att],
+    banks: &'a mut BankArray,
+    bank_map: &'a BankMap,
+    stats: &'a mut Stats,
+    att_enabled: bool,
+    /// Banks `b`: the accesses in one phase of a block operation.
+    banks_per_block: usize,
+    /// Bank cycle `c`: a final access drains `c − 1` slots later.
+    bank_cycle: u64,
+}
+
+impl Kernel<'_> {
+    /// The fused access kernel shared by proven single slots
+    /// ([`CfmMachine::parallel_slot`]) and proven windows
+    /// ([`CfmMachine::window_inline`]): processor `p`'s operation
+    /// injects into logical bank `k` at slot `t` — the injection check,
+    /// the bank read or write plus writer stamp, the ATT insert at a
+    /// write phase's first access, and the phase machine (read → write
+    /// for swaps and RMWs, final access → drain) — emitting trace events
+    /// in the sequential engine's exact order.
+    ///
+    /// This is [`CfmMachine::step_procs`] minus every per-access check
+    /// the caller's proof discharged: no read conflict, write verdict,
+    /// transient fault, backoff or seeded fault can strike the access.
+    #[inline(always)]
+    fn access<S: TraceSink + ?Sized>(
+        &mut self,
+        op: &mut InFlight,
+        p: ProcId,
+        k: BankId,
+        t: Cycle,
+        sink: &mut S,
+    ) {
+        let b = self.banks_per_block;
+        sink.record(TraceEvent::Route {
+            slot: t,
+            proc: p,
+            bank: k,
+        });
+        let phys = self.bank_map.phys(k);
+        match phys {
+            Some(ph) => {
+                if !self.banks.note_injection(ph, t) {
+                    // Impossible under the AT-space schedule; recorded,
+                    // not fatal.
+                    self.stats.bank_conflicts += 1;
+                }
+                self.stats.word_accesses += 1;
+            }
+            None => self.stats.masked_accesses += 1,
         }
-        op.last_progress = ctx.now;
+        op.last_progress = t;
         match op.phase {
             Phase::Read => {
-                match plan.phys {
+                match phys {
                     Some(ph) => {
-                        let word = banks.read(ph, op.offset);
-                        if ctx.tracing {
-                            task.events.push(TraceEvent::BankAccess {
-                                slot: ctx.now,
-                                proc: plan.p,
-                                bank: plan.k,
-                                offset: op.offset,
-                                op_id: op.op_id,
-                                write: false,
-                                word,
-                            });
-                        }
-                        op.read_buf[plan.k] = word;
-                        op.observed_writers[plan.k] = banks.writer(ph, op.offset);
+                        op.read_buf[k] = self
+                            .banks
+                            .read_traced(ph, op.offset, t, k, p, op.op_id, sink);
+                        op.observed_writers[k] = self.banks.writer(ph, op.offset);
                     }
                     None => {
-                        op.read_buf[plan.k] = 0;
-                        op.observed_writers[plan.k] = MASKED_WRITER;
+                        op.read_buf[k] = 0;
+                        op.observed_writers[k] = MASKED_WRITER;
                     }
                 }
                 op.visited += 1;
-                if op.visited == ctx.banks {
+                if op.visited == b {
                     if matches!(op.kind, OpKind::Swap | OpKind::Rmw) {
                         // §4.2.1: the modification is computed in a
                         // pipelined fashion, so the write phase starts
                         // with no extra delay.
-                        if let Some(t) = &op.transform {
-                            t.apply_into(&op.read_buf, &mut op.write_data);
+                        if let Some(tr) = &op.transform {
+                            tr.apply_into(&op.read_buf, &mut op.write_data);
                         }
                         op.phase = Phase::Write;
                         op.visited = 0;
                         op.bank0_updated = false;
                     } else {
                         op.phase = Phase::Drain;
-                        op.completes_at = ctx.now + ctx.bank_cycle - 1;
+                        op.completes_at = t + self.bank_cycle - 1;
                     }
                 }
             }
             Phase::Write => {
-                if plan.insert && ctx.tracing {
-                    task.events.push(TraceEvent::AttInsert {
-                        slot: ctx.now,
-                        bank: plan.k,
-                        proc: plan.p,
-                        offset: op.offset,
-                        op_id: op.op_id,
-                    });
+                if op.visited == 0 && self.att_enabled {
+                    self.atts[k].insert_traced(
+                        Entry {
+                            offset: op.offset,
+                            kind: track_kind(op.kind),
+                            proc: p,
+                            inserted_at: t,
+                        },
+                        k,
+                        op.op_id,
+                        sink,
+                    );
                 }
-                if plan.phys.is_some() && ctx.tracing {
-                    task.events.push(TraceEvent::BankAccess {
-                        slot: ctx.now,
-                        proc: plan.p,
-                        bank: plan.k,
-                        offset: op.offset,
-                        op_id: op.op_id,
-                        write: true,
-                        word: op.write_data[plan.k],
-                    });
+                if let Some(ph) = phys {
+                    self.banks.write_traced(
+                        ph,
+                        op.offset,
+                        op.write_data[k],
+                        t,
+                        k,
+                        p,
+                        op.op_id,
+                        sink,
+                    );
+                    self.banks.stamp(ph, op.offset, op.op_id);
                 }
-                op.bank0_updated |= plan.k == 0;
+                op.bank0_updated |= k == 0;
                 op.visited += 1;
-                if op.visited == ctx.banks {
+                if op.visited == b {
                     op.phase = Phase::Drain;
-                    op.completes_at = ctx.now + ctx.bank_cycle - 1;
+                    op.completes_at = t + self.bank_cycle - 1;
                 }
             }
-            Phase::Drain => unreachable!("drain ops are never planned"),
+            Phase::Drain => unreachable!("draining operations make no access"),
         }
     }
 }
@@ -3193,13 +2802,6 @@ mod tests {
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].0, 0);
         assert_eq!(pending[0].1.offset, 0);
-        // The deprecated shim maps the same run onto the old Result shape.
-        #[allow(deprecated)]
-        {
-            let mut m2 = machine(4, 2, 8);
-            m2.issue(0, Operation::read(0)).unwrap();
-            assert!(m2.run_until_idle(3).is_err());
-        }
     }
 
     #[test]
@@ -3389,8 +2991,8 @@ mod tests {
             }
             completions.extend(m.run(10_000).expect_idle());
         }
-        if matches!(engine, Engine::Parallel { .. }) {
-            assert!(m.parallel_slots() > 0, "the parallel path really engaged");
+        if engine == Engine::Windowed {
+            assert!(m.parallel_slots() > 0, "the fused kernel really engaged");
         }
         let image = (0..8).map(|o| m.peek_block(o)).collect();
         let trace = m.take_trace().unwrap();
@@ -3400,17 +3002,15 @@ mod tests {
     #[test]
     fn parallel_engine_is_byte_identical_on_disjoint_workload() {
         let seq = drive_disjoint(Engine::Sequential);
-        for threads in [1, 2, 4] {
-            let par = drive_disjoint(Engine::Parallel { threads });
-            assert_eq!(seq.0, par.0, "completions, {threads} threads");
-            assert_eq!(seq.1, par.1, "stats, {threads} threads");
-            assert_eq!(seq.2, par.2, "memory, {threads} threads");
-            assert_eq!(seq.3, par.3, "trace, {threads} threads");
-        }
+        let par = drive_disjoint(Engine::Windowed);
+        assert_eq!(seq.0, par.0, "completions");
+        assert_eq!(seq.1, par.1, "stats");
+        assert_eq!(seq.2, par.2, "memory");
+        assert_eq!(seq.3, par.3, "trace");
     }
 
     /// Same-block contention (every processor swaps block 0) forces ATT
-    /// arbitration — hazard slots the parallel plan must hand back to the
+    /// arbitration — hazard slots the single-slot plan must hand back to the
     /// sequential path without observable difference.
     fn drive_contended(engine: Engine) -> (Vec<Completion>, Stats, Vec<Word>, MemoryTrace) {
         let cfg = CfmConfig::new(4, 1, 16).unwrap().with_engine(engine);
@@ -3436,7 +3036,7 @@ mod tests {
     #[test]
     fn parallel_engine_matches_sequential_under_contention() {
         let seq = drive_contended(Engine::Sequential);
-        let par = drive_contended(Engine::Parallel { threads: 2 });
+        let par = drive_contended(Engine::Windowed);
         assert_eq!(seq.0, par.0, "completions");
         assert_eq!(seq.1, par.1, "stats");
         assert_eq!(seq.2, par.2, "memory");
@@ -3483,7 +3083,7 @@ mod tests {
             (completions, *m.stats(), m.take_trace().unwrap())
         };
         let seq = run(Engine::Sequential);
-        let par = run(Engine::Parallel { threads: 2 });
+        let par = run(Engine::Windowed);
         assert_eq!(seq.0, par.0, "completions");
         assert_eq!(seq.1, par.1, "stats");
         assert_eq!(seq.2, par.2, "trace");
@@ -3536,12 +3136,9 @@ mod tests {
             )
         };
         let seq = run(Engine::Sequential, None);
-        let par = run(Engine::Parallel { threads: 2 }, None);
-        let stat = run(
-            Engine::Parallel { threads: 2 },
-            Some(HazardSummary::new(n, n, fp)),
-        );
-        assert_eq!(seq.0, par.0, "completions (plain parallel)");
+        let par = run(Engine::Windowed, None);
+        let stat = run(Engine::Windowed, Some(HazardSummary::new(n, n, fp)));
+        assert_eq!(seq.0, par.0, "completions (plain windowed)");
         assert_eq!(seq.0, stat.0, "completions (summary)");
         assert_eq!(seq.1, stat.1, "stats");
         assert_eq!(seq.2, stat.2, "memory");
@@ -3555,7 +3152,7 @@ mod tests {
         // Rotating per-round offsets — disjoint within every round but
         // not expressible as a static residue-class footprint, so no
         // summary can arm: exactly the shape the runtime hazard scan
-        // exists for. The parallel run must produce byte-identical
+        // exists for. The windowed run must produce byte-identical
         // completions, stats and memory while executing most slots as
         // dynamically proven windows.
         let n = 4;
@@ -3593,7 +3190,7 @@ mod tests {
             )
         };
         let seq = run(Engine::Sequential);
-        let par = run(Engine::Parallel { threads: 2 });
+        let par = run(Engine::Windowed);
         assert_eq!(seq.0, par.0, "completions");
         assert_eq!(seq.1, par.1, "stats");
         assert_eq!(seq.2, par.2, "memory");
@@ -3625,7 +3222,7 @@ mod tests {
             (completions, *m.stats(), memory)
         };
         let seq = run(Engine::Sequential);
-        let par = run(Engine::Parallel { threads: 2 });
+        let par = run(Engine::Windowed);
         assert_eq!(seq.0, par.0, "completions");
         assert_eq!(seq.1, par.1, "stats");
         assert_eq!(seq.2, par.2, "memory");
@@ -3697,7 +3294,7 @@ mod tests {
         use crate::spec::{Footprint, HazardSummary};
         let cfg = CfmConfig::new(4, 1, 16)
             .unwrap()
-            .with_engine(Engine::Parallel { threads: 2 });
+            .with_engine(Engine::Windowed);
         let b = cfg.banks();
         let mut m = CfmMachine::builder(cfg).offsets(8).build();
         let mut fp = Footprint::new(8);
@@ -3802,23 +3399,5 @@ mod tests {
         m.injector().suppress_retries(1);
         assert!(m.summary().is_none(), "seeded hook disarms");
         assert_eq!(m.arm_summary(good), Err(SummaryError::FaultsArmed));
-    }
-
-    #[test]
-    fn cloned_parallel_machine_respawns_its_own_pool() {
-        let cfg = CfmConfig::new(4, 1, 16)
-            .unwrap()
-            .with_engine(Engine::Parallel { threads: 2 });
-        let b = cfg.banks();
-        let mut m = CfmMachine::builder(cfg).offsets(8).build();
-        m.issue(0, Operation::write(1, vec![9; b])).unwrap();
-        m.run(100).expect_idle();
-        let mut clone = m.clone();
-        clone.issue(2, Operation::read(1)).unwrap();
-        let done = clone.run(100).expect_idle();
-        assert_eq!(done[0].data.as_deref(), Some(&vec![9; b][..]));
-        // The original keeps working too (its pool was never shared).
-        m.issue(1, Operation::read(1)).unwrap();
-        assert_eq!(m.run(100).expect_idle().len(), 1);
     }
 }

@@ -10,7 +10,7 @@
 //! ([`MachineSnapshot::to_bytes`]): same machine state, same bytes, on any
 //! host. Restoring ([`MachineSnapshot::restore_into`]) rebuilds a machine
 //! either with the **same shape** (bank count, processors, spares — the
-//! engine and lane count may differ freely), which continues
+//! engine may differ freely), which continues
 //! byte-identically to the uninterrupted run, or with a **larger shape**
 //! (more banks, more spares), which requires a quiescent snapshot and
 //! materialises the logical memory image onto fresh healthy hardware.
@@ -35,8 +35,10 @@ use crate::{BankId, BlockOffset, Cycle, ProcId, Word};
 /// The snapshot format version this build writes and accepts.
 ///
 /// Version history: 1 = initial format; 2 = appends the dynamic-window
-/// counters (`dynamic_slots`, `dynamic_windows`) after `static_windows`.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// counters (`dynamic_slots`, `dynamic_windows`) after `static_windows`;
+/// 3 = the engine is a bare tag byte (the thread count that followed the
+/// windowed tag is gone with the multi-lane engine).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Leading magic of every serialised snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CFMSNAP\0";
@@ -329,8 +331,8 @@ impl MachineSnapshot {
 
     /// Restore into a machine configured by `target`.
     ///
-    /// *Same shape* (equal processors, bank cycle and spares; the engine,
-    /// lane count and word width are free): everything is restored
+    /// *Same shape* (equal processors, bank cycle and spares; the engine
+    /// and word width are free): everything is restored
     /// verbatim — in-flight operations, ATT entries (held ones
     /// included), the degraded bank map, pending fault retries, the
     /// armed summary — and the machine continues byte-identically.
@@ -363,13 +365,10 @@ impl MachineSnapshot {
         e.u32(self.bank_cycle);
         e.u32(self.word_width);
         e.usize(self.spares);
-        match self.engine {
-            Engine::Sequential => e.u8(0),
-            Engine::Parallel { threads } => {
-                e.u8(1);
-                e.usize(threads);
-            }
-        }
+        e.u8(match self.engine {
+            Engine::Sequential => 0,
+            Engine::Windowed => 1,
+        });
         e.usize(self.offsets);
         e.bool(self.att_enabled);
         e.u8(match self.mode {
@@ -500,9 +499,7 @@ impl MachineSnapshot {
         let spares = d.usize()?;
         let engine = match d.u8()? {
             0 => Engine::Sequential,
-            1 => Engine::Parallel {
-                threads: d.usize()?,
-            },
+            1 => Engine::Windowed,
             _ => return Err(SnapshotError::Malformed { what: "engine tag" }),
         };
         let offsets = d.usize()?;
@@ -1302,16 +1299,18 @@ mod tests {
             MachineSnapshot::from_bytes(&bad),
             Err(SnapshotError::BadMagic)
         );
-        // Stale format version.
-        let mut stale = bytes.clone();
-        stale[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            MachineSnapshot::from_bytes(&stale),
-            Err(SnapshotError::VersionMismatch {
-                found: 99,
-                supported: SNAPSHOT_VERSION
-            })
-        );
+        // Stale format versions, the previous one included.
+        for found in [SNAPSHOT_VERSION - 1, 99] {
+            let mut stale = bytes.clone();
+            stale[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                MachineSnapshot::from_bytes(&stale),
+                Err(SnapshotError::VersionMismatch {
+                    found,
+                    supported: SNAPSHOT_VERSION
+                })
+            );
+        }
     }
 
     #[test]
@@ -1440,8 +1439,8 @@ mod tests {
         seed_ops(&mut m);
         m.step();
         let snap = m.checkpoint();
-        let parallel = cfg(4, 1).with_engine(Engine::Parallel { threads: 2 });
-        let mut restored = snap.restore_into(parallel).unwrap();
+        let sequential = cfg(4, 1).with_engine(Engine::Sequential);
+        let mut restored = snap.restore_into(sequential).unwrap();
         let tail_restored = drain(&mut restored, 10_000);
         let tail_ref = drain(&mut m, 10_000);
         assert_eq!(tail_restored, tail_ref, "engines are byte-identical");

@@ -19,10 +19,9 @@
 //!   programs before a single operation is queued.
 //! * [`HazardSummary`] — a proven-safe footprint plus ATT occupancy and
 //!   per-bank access bounds, armed on a [`crate::machine::CfmMachine`]
-//!   ([`crate::machine::CfmMachine::arm_summary`]) so the parallel
+//!   ([`crate::machine::CfmMachine::arm_summary`]) so the windowed
 //!   engine's planner can skip the dynamic per-slot hazard probe for
-//!   statically safe offsets and dispatch whole proven windows per
-//!   worker handoff.
+//!   statically safe offsets and dispatch whole proven windows.
 //!
 //! The safety notion is deliberately conservative (see
 //! `docs/static-analysis.md`): an `(offset, proc)` pair is *statically
@@ -399,7 +398,7 @@ impl PartialEq for ProcSet {
 impl Eq for ProcSet {}
 
 /// Cached exclusive-writer verdict for one offset — the O(1) hot-path
-/// answer [`Footprint::plan_safe`] gives the parallel planner, updated
+/// answer [`Footprint::plan_safe`] gives the single-slot planner, updated
 /// incrementally as writers are recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WriterState {
@@ -753,12 +752,11 @@ impl std::error::Error for SummaryError {}
 /// occupancy bound and per-bank access counts.
 ///
 /// Armed on a machine ([`crate::machine::CfmMachine::arm_summary`]), it
-/// lets the parallel planner skip the per-op ATT hazard probe for
-/// statically safe offsets and batch whole proven windows into one
-/// worker handoff. The machine keeps itself sound against drivers that
-/// diverge from the summary: any issued operation the footprint does
-/// not declare disarms it, and installing a fault plan (or any seeded
-/// fault hook) disarms it too.
+/// lets the single-slot planner skip the per-op ATT hazard probe for
+/// statically safe offsets and run whole proven windows. The machine
+/// keeps itself sound against callers that diverge from the summary:
+/// any issued operation the footprint does not declare disarms it, and
+/// installing a fault plan (or any seeded fault hook) disarms it too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HazardSummary {
     processors: usize,

@@ -222,7 +222,7 @@ pub enum TraceEvent {
         new_phys: Option<usize>,
     },
     /// A statically proven [`crate::spec::HazardSummary`] was armed:
-    /// from here the parallel planner may skip dynamic hazard probes
+    /// from here the single-slot planner may skip dynamic hazard probes
     /// for proven-safe offsets and dispatch whole proven windows.
     SummaryArmed {
         /// Arming slot.
@@ -384,13 +384,6 @@ impl MemoryTrace {
         self.events.is_empty()
     }
 
-    /// Move `events` to the end of the log — the parallel slot engine's
-    /// merge phase concatenating per-lane event buffers in processor
-    /// order.
-    pub(crate) fn append(&mut self, events: &mut Vec<TraceEvent>) {
-        self.events.append(events);
-    }
-
     /// Drop every recorded event, keeping the allocation for reuse
     /// ([`crate::machine::CfmMachine::discard_trace`]).
     pub(crate) fn clear(&mut self) {
@@ -414,16 +407,6 @@ impl TraceSink for MemoryTrace {
     #[inline]
     fn record(&mut self, event: TraceEvent) {
         self.events.push(event);
-    }
-}
-
-/// A bare event vector is a sink — the parallel slot engine's workers
-/// record into plain per-lane buffers that the merge phase concatenates
-/// in processor order.
-impl TraceSink for Vec<TraceEvent> {
-    #[inline]
-    fn record(&mut self, event: TraceEvent) {
-        self.push(event);
     }
 }
 
@@ -584,15 +567,6 @@ mod tests {
         assert_eq!(log.borrow().len(), 5);
         let slots: Vec<Cycle> = log.borrow().iter().map(TraceEvent::slot).collect();
         assert_eq!(slots, (0..5).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn vec_sink_records_in_order() {
-        let mut buf: Vec<TraceEvent> = Vec::new();
-        buf.record(route(1));
-        buf.record(route(2));
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf[1].slot(), 2);
     }
 
     #[test]

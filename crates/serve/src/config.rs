@@ -111,7 +111,7 @@ pub const DEFAULT_BUDGET_WINDOW: usize = 32;
 /// Configuration consumed by [`crate::Service::start`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// The machine to drive (sequential or parallel engine).
+    /// The machine to drive (sequential or windowed engine).
     pub machine: CfmConfig,
     /// Blocks of shared memory (offsets per bank).
     pub offsets: usize,
@@ -167,20 +167,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Add a tenant with the given DRR `weight` and queue bound.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `with_tenant(TenantSpec::new(name).weight(w).queue_capacity(c))` — \
-                the typed builder also carries criticality and bank budgets"
-    )]
-    pub fn tenant(self, name: &str, weight: u32, queue_capacity: usize) -> Self {
-        self.with_tenant(
-            TenantSpec::new(name)
-                .weight(weight)
-                .queue_capacity(queue_capacity),
-        )
-    }
-
     /// Set the global queued-operation bound (load-shedding threshold).
     pub fn max_queued(mut self, limit: usize) -> Self {
         self.max_queued = Some(limit);
@@ -200,30 +186,5 @@ impl ServiceConfig {
     pub fn effective_max_queued(&self) -> usize {
         self.max_queued
             .unwrap_or_else(|| self.tenants.iter().map(|t| t.queue_capacity).sum())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The deprecated positional `tenant()` is a pure shim over the
-    /// typed builder: same name/weight/capacity, default class, no
-    /// budget.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_tenant_is_equivalent_to_builder_defaults() {
-        let machine = CfmConfig::new(4, 1, 16).unwrap();
-        let legacy = ServiceConfig::new(machine, 8).tenant("a", 3, 17);
-        let modern = ServiceConfig::new(machine, 8)
-            .with_tenant(TenantSpec::new("a").weight(3).queue_capacity(17));
-        let (l, m) = (&legacy.tenants[0], &modern.tenants[0]);
-        assert_eq!(l.name, m.name);
-        assert_eq!(l.weight, m.weight);
-        assert_eq!(l.queue_capacity, m.queue_capacity);
-        assert_eq!(l.criticality, m.criticality);
-        assert_eq!(l.bank_budget, m.bank_budget);
-        assert_eq!(l.criticality, Criticality::BestEffort);
-        assert_eq!(l.bank_budget, None);
     }
 }

@@ -22,11 +22,10 @@
 //!   conflict-freedom invariant (zero same-slot bank conflicts) holds for
 //!   every batch by construction.
 //! * **Event loop** — one thread hosted on a
-//!   [`cfm_core::engine::WorkerPool`] (the same persistent parked-worker
-//!   primitive the parallel slot engine uses; no tokio, the build is
-//!   offline). The loop parks on a condvar when fully idle and is woken
-//!   by submits and drain; it never blocks while operations are in
-//!   flight.
+//!   [`cfm_core::engine::WorkerPool`] (a persistent parked-worker
+//!   primitive; no tokio, the build is offline). The loop parks on a
+//!   condvar when fully idle and is woken by submits and drain; it
+//!   never blocks while operations are in flight.
 //! * **Drain** ([`Service::drain`]) — stop admitting, finish everything
 //!   already admitted (queued *and* in flight), and return a
 //!   [`ServiceReport`] with the machine's own statistics. Dropping a

@@ -254,7 +254,7 @@ pub struct TenantMetrics {
     /// live migration ([`crate::Reject::Migrating`]).
     pub rejected_migrating: u64,
     /// Inferred footprint claims armed over the tenant's lifetime (see
-    /// [`crate::Service::arm_inferred_footprint`]).
+    /// [`crate::Footprints::arm_inferred`]).
     pub summaries_inferred: u64,
     /// Times an inferred claim was dropped — the tenant (or a
     /// conflicting admission) stepped outside it and the service fell

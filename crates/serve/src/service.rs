@@ -84,7 +84,7 @@ pub struct ServiceReport {
     pub stats: Stats,
     /// Slots the machine simulated.
     pub cycles: u64,
-    /// Slots executed by the parallel plan → execute → merge pipeline
+    /// Slots executed by the windowed engine's fused access kernel
     /// (0 under [`Engine::Sequential`]).
     pub parallel_slots: u64,
     /// Engine the machine ran.
@@ -562,40 +562,6 @@ impl Service {
         Footprints { service: self }
     }
 
-    /// Register `tenant`'s statically analyzed block footprint.
-    #[deprecated(since = "0.10.0", note = "use `footprints().admit(tenant, footprint)`")]
-    pub fn admit_footprint(&self, tenant: TenantId, footprint: Footprint) -> Result<(), Reject> {
-        self.footprints().admit(tenant, footprint)
-    }
-
-    /// Arm an *inferred* footprint claim for `tenant`.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `footprints().arm_inferred(tenant, footprint)`"
-    )]
-    pub fn arm_inferred_footprint(
-        &self,
-        tenant: TenantId,
-        footprint: Footprint,
-    ) -> Result<(), Reject> {
-        self.footprints().arm_inferred(tenant, footprint)
-    }
-
-    /// The tenant's completed spec-inference warm-up window.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `footprints().observation_window(tenant)`"
-    )]
-    pub fn observation_window(&self, tenant: TenantId) -> Option<Vec<(OpKind, usize)>> {
-        self.footprints().observation_window(tenant)
-    }
-
-    /// Withdraw `tenant`'s admitted footprint (if any).
-    #[deprecated(since = "0.10.0", note = "use `footprints().withdraw(tenant)`")]
-    pub fn withdraw_footprint(&self, tenant: TenantId) -> Option<Footprint> {
-        self.footprints().withdraw(tenant)
-    }
-
     /// Current counters and latency quantiles (cheap clone under the
     /// state lock; does not disturb the event loop).
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -604,7 +570,7 @@ impl Service {
 
     /// Live-migrate the service onto a machine of shape `target` —
     /// same shape with a different engine, or a *larger* shape (more
-    /// banks, spares, lanes) — with zero downtime for tenants outside
+    /// banks or spares) — with zero downtime for tenants outside
     /// `tenants`.
     ///
     /// The named tenants' queues are quiesced: from this call until the
@@ -1269,11 +1235,11 @@ mod tests {
         w.wait().unwrap();
         let target = CfmConfig::new(4, 1, 16)
             .unwrap()
-            .with_engine(Engine::Parallel { threads: 2 });
+            .with_engine(Engine::Sequential);
         let report = service.migrate(&[0], target).unwrap();
         assert_eq!(report.from_banks, 4);
         assert_eq!(report.to_banks, 4);
-        assert_eq!(report.engine, Engine::Parallel { threads: 2 });
+        assert_eq!(report.engine, Engine::Sequential);
         // The write survives the move and the service keeps serving.
         let r = service.submit(1, Operation::read(5)).unwrap();
         assert_eq!(
@@ -1451,30 +1417,5 @@ mod tests {
         assert_eq!(report.metrics.tenants[0].completed, 8);
         assert_eq!(report.metrics.tenants[1].completed, 8);
         assert_eq!(report.stats.bank_conflicts, 0);
-    }
-
-    /// The legacy positional `tenant(name, weight, capacity)` and the
-    /// typed builder must configure *identical* services: pinned as
-    /// byte-identical metrics JSON (zero traffic, so every counter and
-    /// histogram is in its deterministic initial state).
-    #[test]
-    fn legacy_and_builder_metrics_json_are_byte_identical() {
-        let cfg = CfmConfig::new(4, 1, 16).unwrap();
-        #[allow(deprecated)]
-        let legacy = Service::start(
-            ServiceConfig::new(cfg, 32)
-                .tenant("a", 2, 16)
-                .tenant("b", 1, 8),
-        )
-        .unwrap();
-        let builder = Service::start(
-            ServiceConfig::new(cfg, 32)
-                .with_tenant(TenantSpec::new("a").weight(2).queue_capacity(16))
-                .with_tenant(TenantSpec::new("b").queue_capacity(8)),
-        )
-        .unwrap();
-        assert_eq!(legacy.metrics().to_json(), builder.metrics().to_json());
-        legacy.drain();
-        builder.drain();
     }
 }

@@ -20,7 +20,7 @@
 //!   shape).
 //!
 //! The proof is packaged as a [`HazardSummary`] and handed to its two
-//! consumers, both exercised here end to end: the parallel engine's
+//! consumers, both exercised here end to end: the windowed engine's
 //! planner ([`cfm_core::machine::CfmMachine::arm_summary`]) skips the
 //! dynamic per-slot hazard probe for statically safe offsets and
 //! dispatches whole proven windows per worker handoff, byte-identical
@@ -593,7 +593,7 @@ fn lock_order_check(offsets: usize) -> Check {
     .with_metric("edges", g.edge_count() as u64)
 }
 
-/// Arm the proven summary on a parallel machine and demand byte
+/// Arm the proven summary on a windowed machine and demand byte
 /// identity with the sequential engine — while the planner provably
 /// skips work (static windows dispatched).
 fn summary_engine_check(n: usize, c: u32, offsets: usize) -> Check {
@@ -612,15 +612,8 @@ fn summary_engine_check(n: usize, c: u32, offsets: usize) -> Check {
     };
     let runs = [
         run_spec(spec, n, c, offsets, Engine::Sequential, None),
-        run_spec(spec, n, c, offsets, Engine::Parallel { threads: 2 }, None),
-        run_spec(
-            spec,
-            n,
-            c,
-            offsets,
-            Engine::Parallel { threads: 2 },
-            Some(summary),
-        ),
+        run_spec(spec, n, c, offsets, Engine::Windowed, None),
+        run_spec(spec, n, c, offsets, Engine::Windowed, Some(summary)),
     ];
     let mut results = Vec::new();
     for r in runs {

@@ -55,36 +55,29 @@ pub struct ChaosSpec {
     /// Fault-plan seeds; each soaks one generated plan on one machine
     /// shape (shapes rotate per seed index).
     pub seeds: Vec<u64>,
-    /// Slot engines the soaks rotate through (engine rotates per seed
-    /// index, like the shapes): the degraded-mode contract must hold
-    /// identically on the parallel plan → execute → merge pipeline.
+    /// Slot engines every seed is soaked on: the degraded-mode contract
+    /// must hold identically on the windowed engine's fused kernel.
     pub engines: Vec<Engine>,
 }
 
 impl Default for ChaosSpec {
     /// Four seeded plans covering remap, pipelined banks, masking (no
-    /// spare), and a two-spare pool, rotated across the sequential
-    /// engine and the windowed engine at 1 (the default), 2 and 4
-    /// threads.
+    /// spare), and a two-spare pool, each soaked on the sequential and
+    /// the windowed engine.
     fn default() -> Self {
         ChaosSpec {
             seeds: vec![0xC0FFEE, 0xBAD_F00D, 0x5EED, 0xFEED],
-            engines: vec![
-                Engine::Sequential,
-                Engine::Parallel { threads: 1 },
-                Engine::Parallel { threads: 2 },
-                Engine::Parallel { threads: 4 },
-            ],
+            engines: vec![Engine::Sequential, Engine::Windowed],
         }
     }
 }
 
 /// Short stable label for an engine, used in check subjects and CLI
-/// parsing (`sequential`, `parallel-2`, ...).
-pub(crate) fn engine_label(engine: Engine) -> String {
+/// parsing (`sequential`, `windowed`).
+pub(crate) fn engine_label(engine: Engine) -> &'static str {
     match engine {
-        Engine::Sequential => "sequential".into(),
-        Engine::Parallel { threads } => format!("parallel-{threads}"),
+        Engine::Sequential => "sequential",
+        Engine::Windowed => "windowed",
     }
 }
 
@@ -99,12 +92,20 @@ fn shape_for(index: usize) -> (usize, u32, usize) {
     SHAPES[index % SHAPES.len()]
 }
 
-fn engine_for(spec: &ChaosSpec, index: usize) -> Engine {
-    if spec.engines.is_empty() {
-        Engine::Sequential
+/// Every `(seed index, seed, engine)` soak the spec asks for: each seed
+/// on each engine, so every machine shape is soaked on every engine. An
+/// empty engine list soaks on the sequential engine alone.
+fn soak_runs(spec: &ChaosSpec) -> Vec<(usize, u64, Engine)> {
+    let engines: &[Engine] = if spec.engines.is_empty() {
+        &[Engine::Sequential]
     } else {
-        spec.engines[index % spec.engines.len()]
-    }
+        &spec.engines
+    };
+    spec.seeds
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &seed)| engines.iter().map(move |&engine| (i, seed, engine)))
+        .collect()
 }
 
 fn plan_params(n: usize, c: u32) -> PlanParams {
@@ -129,8 +130,8 @@ fn plan_params(n: usize, c: u32) -> PlanParams {
 pub fn verify(spec: &ChaosSpec, self_test: bool) -> Vec<Check> {
     let mut checks = Vec::new();
     checks.push(coverage_check(spec));
-    for (i, &seed) in spec.seeds.iter().enumerate() {
-        checks.extend(soak(seed, shape_for(i), engine_for(spec, i)));
+    for (i, seed, engine) in soak_runs(spec) {
+        checks.extend(soak(seed, shape_for(i), engine));
     }
     checks.push(lock_soak(spec.seeds.first().copied().unwrap_or(1)));
     checks.push(net_stuck_check(spec));
@@ -283,10 +284,10 @@ fn owned_value(p: usize, r: u64) -> Word {
 
 /// Soak one seeded plan on one machine shape and slot engine and check
 /// injectivity, race freedom, and write durability on the faulted
-/// execution. With a windowed engine the soak additionally asserts
-/// that both the single-slot plan → execute → merge path and the proven
-/// window kernel actually ran (a fallback-only soak would make the
-/// engine rotation vacuous).
+/// execution. With the windowed engine the soak additionally asserts
+/// that the fused kernel actually ran both proven single slots and
+/// proven windows (a fallback-only soak would make the windowed soak
+/// vacuous).
 fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<Check> {
     let cfg = CfmConfig::new(n, c, 16)
         .expect("valid soak shape")
@@ -326,8 +327,8 @@ fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<C
 
     let mut checks = Vec::new();
 
-    // Engine non-vacuousness: under a windowed engine some faulted
-    // slots must take the single-slot parallel path (the owned-block
+    // Engine non-vacuousness: under the windowed engine some faulted
+    // slots must run as proven single slots (the owned-block
     // rounds are hazard-free), and the disjoint post-fault round must
     // run as proven windows over the degraded bank map; hazardous slots
     // falling back is expected, a soak that *only* fell back proves
@@ -337,7 +338,7 @@ fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<C
         let single_slots = m.parallel_slots() - window_slots;
         let mut vacuous = Vec::new();
         if single_slots == 0 {
-            vacuous.push("every faulted slot hit a hazard — the rotation is vacuous".to_string());
+            vacuous.push("every faulted slot hit a hazard — the soak is vacuous".to_string());
         }
         if window_slots == 0 {
             vacuous.push("the disjoint post-fault round never ran a proven window".to_string());
@@ -347,7 +348,7 @@ fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<C
                 "chaos/engine-parallel",
                 &subject,
                 format!(
-                    "{single_slots} slot(s) took the parallel path under faults, \
+                    "{single_slots} slot(s) ran as proven single slots under faults, \
                      {window_slots} ran in proven windows after them"
                 ),
             )
@@ -804,15 +805,16 @@ mod tests {
                 check.detail
             );
         }
-        // The default rotation must actually exercise the parallel
-        // engine (and its non-vacuousness check must have fired).
-        let parallel = checks
+        // Every seed must be soaked on the windowed engine (and its
+        // non-vacuousness check must have fired).
+        let windowed = checks
             .iter()
             .filter(|c| c.name == "chaos/engine-parallel")
             .count();
-        assert!(
-            parallel >= 2,
-            "expected at least two parallel-engine soaks, got {parallel}"
+        assert_eq!(
+            windowed,
+            ChaosSpec::default().seeds.len(),
+            "expected one windowed-engine soak per seed"
         );
     }
 
@@ -823,22 +825,27 @@ mod tests {
             spec.engines.contains(&Engine::default()),
             "the default engine must be soaked"
         );
-        let rotated: Vec<Engine> = (0..spec.seeds.len())
-            .map(|i| engine_for(&spec, i))
-            .collect();
-        for &engine in &spec.engines {
-            assert!(
-                rotated.contains(&engine),
-                "engine {} never rotated in",
-                engine_label(engine)
-            );
+        // Every seed — and so every machine shape — on every engine.
+        let runs = soak_runs(&spec);
+        assert_eq!(runs.len(), spec.seeds.len() * spec.engines.len());
+        for (i, &seed) in spec.seeds.iter().enumerate() {
+            for &engine in &spec.engines {
+                assert!(
+                    runs.contains(&(i, seed, engine)),
+                    "shape {:?} never soaked on {}",
+                    shape_for(i),
+                    engine_label(engine)
+                );
+            }
         }
         // An empty engine list degrades to sequential-only.
         let empty = ChaosSpec {
             engines: vec![],
             ..ChaosSpec::default()
         };
-        assert_eq!(engine_for(&empty, 3), Engine::Sequential);
+        assert!(soak_runs(&empty)
+            .iter()
+            .all(|&(_, _, engine)| engine == Engine::Sequential));
     }
 
     #[test]

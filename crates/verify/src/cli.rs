@@ -99,20 +99,13 @@ fn parse_usize(s: &str, what: &str) -> Result<usize, String> {
         .map_err(|_| format!("invalid {what}: {s:?}"))
 }
 
-/// Parse an engine name: `sequential` or `parallel-N` (N ≥ 1 threads).
+/// Parse an engine name: `sequential` or `windowed`.
 fn parse_engine(s: &str) -> Result<Engine, String> {
-    if s == "sequential" {
-        return Ok(Engine::Sequential);
+    match s {
+        "sequential" => Ok(Engine::Sequential),
+        "windowed" => Ok(Engine::Windowed),
+        _ => Err(format!("unknown engine {s:?} (sequential | windowed)")),
     }
-    if let Some(t) = s.strip_prefix("parallel-") {
-        let threads = t
-            .parse::<usize>()
-            .ok()
-            .filter(|&t| t >= 1)
-            .ok_or_else(|| format!("invalid thread count in engine {s:?}"))?;
-        return Ok(Engine::Parallel { threads });
-    }
-    Err(format!("unknown engine {s:?} (sequential | parallel-N)"))
 }
 
 /// Parse `2..=16` or a bare `4` into an inclusive range.
@@ -942,18 +935,29 @@ mod tests {
 
     #[test]
     fn engine_flags_parse() {
-        let o = parse(&args(&["trace", "--engine", "parallel-2"])).unwrap();
-        assert_eq!(o.trace.unwrap().engine, Engine::Parallel { threads: 2 });
+        let o = parse(&args(&["trace", "--engine", "windowed"])).unwrap();
+        assert_eq!(o.trace.unwrap().engine, Engine::Windowed);
         let o = parse(&args(&["trace", "--engine", "sequential"])).unwrap();
         assert_eq!(o.trace.unwrap().engine, Engine::Sequential);
-        let o = parse(&args(&["chaos", "--engines", "sequential,parallel-4"])).unwrap();
+        let o = parse(&args(&["chaos", "--engines", "sequential,windowed"])).unwrap();
         assert_eq!(
             o.chaos.unwrap().engines,
-            vec![Engine::Sequential, Engine::Parallel { threads: 4 }]
+            vec![Engine::Sequential, Engine::Windowed]
         );
         assert!(parse(&args(&["trace", "--engine", "bogus"])).is_err());
-        assert!(parse(&args(&["trace", "--engine", "parallel-0"])).is_err());
         assert!(parse(&args(&["chaos", "--engines", ""])).is_err());
+    }
+
+    #[test]
+    fn retired_thread_count_engines_are_refused_by_name() {
+        for name in ["parallel-1", "parallel-2", "parallel-0"] {
+            let err = parse_engine(name).unwrap_err();
+            assert!(
+                err.contains("sequential") && err.contains("windowed"),
+                "{name}: the error names the valid engines: {err}"
+            );
+            assert!(parse(&args(&["trace", "--engine", name])).is_err());
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //!   misconfigured `b ∓ 1` neighbours), an ATT occupancy bound,
 //!   program-level lock-order acyclicity, and per-bank access
 //!   footprints; the resulting [`cfm_core::spec::HazardSummary`] is
-//!   proven byte-identical when armed on the parallel engine and
+//!   proven byte-identical when armed on the windowed engine and
 //!   enforced by `cfm-serve` footprint admission — with seeded-defect
 //!   self-tests and a differential gate against the dynamic race
 //!   detector (`cfm-verify analyze --ci`).
@@ -109,9 +109,9 @@ traces for races (vector-clock happens-before + word-order uniformity),
 linearizability (swap/RMW, the lock protocol, the cache counter),
 schedule conformance of every observed bank injection, slot-sharing
 FIFO accounting, and static lock-order cycles. `trace --ci` adds the
-seeded-fault self-tests. `--engine sequential|parallel-N` selects the
+seeded-fault self-tests. `--engine sequential|windowed` selects the
 slot engine the core workloads execute on, so the same analyses gate
-the parallel plan → execute → merge pipeline.
+the windowed engine's fused kernel.
 
 The `chaos` subcommand soaks standard workloads under seeded
 fault-injection plans (permanent bank death, transient bank errors,
@@ -119,9 +119,9 @@ dropped/corrupted responses, stuck omega switches) and asserts the
 degraded-mode contract: post-remap per-slot injectivity, zero races,
 no lost or torn writes across remap boundaries, lock correctness, and
 stuck-switch detectability. `--seeds` overrides the default plan seeds,
-`--engines` the slot engines the soaks rotate through (default
-sequential,parallel-1,parallel-2,parallel-4); `chaos --ci` adds self-tests that
-prove each detector non-vacuous.
+`--engines` the slot engines every seed is soaked on (default
+sequential,windowed); `chaos --ci` adds self-tests that prove each
+detector non-vacuous.
 
 The `analyze` subcommand runs the static program analyzer: every
 standard program spec is abstractly interpreted on each swept `(n, c)`
@@ -129,7 +129,7 @@ configuration (default n=2..=8 c=1..=2, --offsets blocks, default 16),
 proving zero bank conflicts, the ATT occupancy bound, lock-order
 acyclicity, and per-bank footprints — and refuting the `b ∓ 1`
 neighbours with concrete witnesses. The emitted hazard summaries are
-then consumed for real: the parallel engine must stay byte-identical
+then consumed for real: the windowed engine must stay byte-identical
 to sequential while dispatching statically-proven windows, every
 static race verdict is differentially checked against the dynamic
 happens-before detector, and cfm-serve must reject a conflicting

@@ -48,8 +48,8 @@ pub struct TraceSpec {
     pub sharers: Vec<usize>,
     /// Slot engine the core-machine workloads run under (`--engine`):
     /// the dynamic analyses consume real traces, so running the sweep
-    /// with [`Engine::Parallel`] re-derives the paper's guarantees from
-    /// the parallel pipeline's executions.
+    /// with [`Engine::Windowed`] re-derives the paper's guarantees from
+    /// the fused kernel's executions.
     pub engine: Engine,
 }
 
@@ -627,7 +627,7 @@ mod tests {
 
     #[test]
     fn parallel_engine_traces_pass_the_same_analyses() {
-        for check in verify_config(4, 1, Engine::Parallel { threads: 2 }) {
+        for check in verify_config(4, 1, Engine::Windowed) {
             assert_eq!(
                 check.status,
                 Status::Pass,

@@ -127,9 +127,9 @@ fn trace_json_report_is_byte_stable_across_runs() {
             n: 2..=4,
             c: 1..=2,
             sharers: vec![2],
-            // The parallel engine must be just as deterministic: two
+            // The windowed engine must be just as deterministic: two
             // runs of the same sweep render byte-identical JSON.
-            engine: Engine::Parallel { threads: 2 },
+            engine: Engine::Windowed,
         }),
         chaos: None,
         serve: None,

@@ -1,8 +1,7 @@
-//! Engine equivalence: every windowed engine — the default inline one
-//! (`Parallel { threads: 1 }`) and the multi-lane ones, whose proven
-//! windows run as one fused pass per slot and whose remaining slots go
-//! through the plan → execute → merge pipeline — must be
-//! observationally *byte-identical* to the sequential reference engine:
+//! Engine equivalence: the windowed engine (the default), whose proven
+//! windows and proven single slots run through one fused access kernel,
+//! must be observationally *byte-identical* to the sequential reference
+//! engine:
 //! same completions, same stats, same memory, same trace event stream,
 //! for any machine shape, workload, and fault plan. The property tests
 //! sample that space; the pinned-digest tests freeze fixed workloads'
@@ -83,20 +82,19 @@ fn drive(
 }
 
 proptest! {
-    /// Random `(n, c, threads, program, fault plan)` → both engines
+    /// Random `(n, c, program, fault plan)` → both engines
     /// produce identical completion streams, statistics, and traces.
     /// `fault_sel` past the seed range means "no fault plan".
     #[test]
     fn parallel_engine_is_equivalent_to_sequential(
         n in 2usize..9,
         c in 1u32..3,
-        threads in 2usize..5,
         script in proptest::collection::vec(0u64..u64::MAX, 1..40),
         fault_sel in 0u64..2_000,
     ) {
         let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
         let seq = drive(Engine::Sequential, n, c, 8, &script, fault_seed);
-        let par = drive(Engine::Parallel { threads }, n, c, 8, &script, fault_seed);
+        let par = drive(Engine::Windowed, n, c, 8, &script, fault_seed);
         prop_assert_eq!(&seq.0, &par.0, "completions diverged");
         prop_assert_eq!(&seq.1, &par.1, "stats diverged");
         prop_assert_eq!(&seq.2, &par.2, "traces diverged");
@@ -192,7 +190,7 @@ fn drive_spec(
 }
 
 proptest! {
-    /// A statically proven hazard summary armed on the parallel engine
+    /// A statically proven hazard summary armed on the windowed engine
     /// must not change a single observable byte relative to the
     /// sequential engine — and when a fault plan is installed, the
     /// machine silently voids the summary and the identity must still
@@ -202,7 +200,6 @@ proptest! {
     fn summary_armed_engine_is_equivalent_to_sequential(
         n in 2usize..7,
         c in 1u32..3,
-        threads in 2usize..5,
         rounds in 1usize..3,
         words in proptest::collection::vec(0u64..u64::MAX, 2..20),
         fault_sel in 0u64..2_000,
@@ -215,15 +212,7 @@ proptest! {
         };
         let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
         let seq = drive_spec(Engine::Sequential, n, c, 8, &spec, None, fault_seed);
-        let par = drive_spec(
-            Engine::Parallel { threads },
-            n,
-            c,
-            8,
-            &spec,
-            Some(summary),
-            fault_seed,
-        );
+        let par = drive_spec(Engine::Windowed, n, c, 8, &spec, Some(summary), fault_seed);
         prop_assert_eq!(&seq.0, &par.0, "completions diverged");
         prop_assert_eq!(&seq.1, &par.1, "stats diverged");
         // SummaryArmed/SummaryDisarmed audit the proof machinery and by
@@ -338,7 +327,7 @@ fn drive_windowed(
 }
 
 proptest! {
-    /// Random `(n, c, threads, window-size cap, program, fault plan)` →
+    /// Random `(n, c, window-size cap, program, fault plan)` →
     /// the dynamic-window path (no summary armed: every window is
     /// proven by the runtime hazard scan) must be byte-identical to the
     /// sequential engine — completions, stats, the full memory image
@@ -349,22 +338,13 @@ proptest! {
     fn dynamic_window_engine_is_equivalent_to_sequential(
         n in 2usize..9,
         c in 1u32..3,
-        threads in 2usize..5,
         budget in 2u64..96,
         script in proptest::collection::vec(0u64..u64::MAX, 1..32),
         fault_sel in 0u64..2_000,
     ) {
         let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
         let seq = drive_windowed(Engine::Sequential, n, c, 8, &script, fault_seed, budget);
-        let par = drive_windowed(
-            Engine::Parallel { threads },
-            n,
-            c,
-            8,
-            &script,
-            fault_seed,
-            budget,
-        );
+        let par = drive_windowed(Engine::Windowed, n, c, 8, &script, fault_seed, budget);
         prop_assert_eq!(&seq.0, &par.0, "completions diverged");
         prop_assert_eq!(&seq.1, &par.1, "stats diverged");
         prop_assert_eq!(&seq.2, &par.2, "memory diverged");
@@ -401,21 +381,14 @@ fn pinned_script() -> Vec<u64> {
 const PINNED_LEN: usize = 540;
 const PINNED_DIGEST: u64 = 0x5db1_f1b3_d7b5_cfbd;
 
-/// Byte-pinned trace regression: the parallel engine's trace for a fixed
+/// Byte-pinned trace regression: the windowed engine's trace for a fixed
 /// workload — digest and length frozen. If this fails, either an engine
 /// changed observable behaviour or a [`TraceEvent`] shape changed; both
 /// must be deliberate.
 #[test]
 fn pinned_parallel_trace_bytes() {
     let seq = drive(Engine::Sequential, 4, 1, 8, &pinned_script(), Some(7));
-    let par = drive(
-        Engine::Parallel { threads: 2 },
-        4,
-        1,
-        8,
-        &pinned_script(),
-        Some(7),
-    );
+    let par = drive(Engine::Windowed, 4, 1, 8, &pinned_script(), Some(7));
     assert_eq!(seq.2, par.2, "engines diverged on the pinned workload");
     let digest = trace_digest(&par.2);
     assert_eq!(
@@ -457,13 +430,13 @@ enum Fault {
 
 /// Everything [`drive_default`] observes: completions, stats, the memory
 /// image, the trace (empty when untraced), and the
-/// `(dynamic_slots, static_slots)` window counters.
+/// `(dynamic_slots, static_slots, parallel_slots)` kernel counters.
 type DefaultRun = (
     Vec<Completion>,
     Stats,
     Vec<Vec<u64>>,
     Vec<TraceEvent>,
-    (u64, u64),
+    (u64, u64, u64),
 );
 
 /// Drive a machine built from the *default* configuration (`reference =
@@ -556,7 +529,7 @@ fn drive_default(
         *m.stats(),
         memory,
         events,
-        (m.dynamic_slots(), m.static_slots()),
+        (m.dynamic_slots(), m.static_slots(), m.parallel_slots()),
     )
 }
 
@@ -595,7 +568,7 @@ proptest! {
         prop_assert_eq!(&seq.1, &def.1, "stats diverged");
         prop_assert_eq!(&seq.2, &def.2, "memory diverged");
         prop_assert_eq!(&seq.3, &def.3, "traces diverged");
-        prop_assert_eq!(seq.4, (0, 0), "the reference engine takes no windows");
+        prop_assert_eq!(seq.4, (0, 0, 0), "the reference engine takes no windows");
         if let Some((at, f)) = fault {
             let fired = match f {
                 Fault::Mask(_) => seq.1.banks_masked,
@@ -611,6 +584,17 @@ proptest! {
             Mode::Summary => prop_assert!(def.4 .1 > 0, "summary run took no static window"),
             _ => {}
         }
+        // Windows stop before every final access, so the fused kernel
+        // must also have run proven single slots — the path that makes
+        // the drain transition.
+        let (dynamic, fixed, kernel) = def.4;
+        prop_assert!(
+            kernel > dynamic + fixed,
+            "{:?}: no proven single slot ran ({} kernel slots, {} in windows)",
+            mode,
+            kernel,
+            dynamic + fixed
+        );
     }
 }
 
@@ -745,7 +729,7 @@ fn torn_read_repro_is_identical_across_engines() {
 const PINNED_SINGLE_LANE_LEN: usize = 849;
 const PINNED_SINGLE_LANE_DIGEST: u64 = 0x528b_2c6a_f6c7_25cc;
 
-/// Byte-pinned trace regression for the default single-lane engine: a
+/// Byte-pinned trace regression for the default (windowed) engine: a
 /// fixed disjoint workload of every op kind on `c = 2`, with a bank
 /// masked by a spare-less permanent failure part-way through, so the
 /// fused window kernel runs both before and after the bank is masked.

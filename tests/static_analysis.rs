@@ -8,7 +8,7 @@
 //!   operations it names on a real machine reproduces the collision as
 //!   an address-table merge on the witnessed block.
 //! * A program the analyzer can summarize must run byte-identically on
-//!   the summary-armed parallel engine.
+//!   the summary-armed windowed engine.
 //!
 //! Programs are decoded from sampled words (the same idiom as
 //! `engine_equivalence.rs`): each word packs one op spec — two bits of
@@ -187,14 +187,13 @@ proptest! {
         );
     }
 
-    /// Summarizable ⇒ the summary-armed parallel engine is
+    /// Summarizable ⇒ the summary-armed windowed engine is
     /// byte-identical to the sequential engine (completions, stats,
     /// memory).
     #[test]
     fn armed_summary_preserves_byte_identity(
         n in 2usize..6,
         c in 1u32..3,
-        threads in 2usize..4,
         rounds in 1usize..3,
         words in proptest::collection::vec(0u64..u64::MAX, 2..16),
     ) {
@@ -203,14 +202,7 @@ proptest! {
             return Ok(());
         };
         let seq = execute(&spec, n, c, Engine::Sequential, None, false);
-        let armed = execute(
-            &spec,
-            n,
-            c,
-            Engine::Parallel { threads },
-            Some(summary),
-            false,
-        );
+        let armed = execute(&spec, n, c, Engine::Windowed, Some(summary), false);
         prop_assert_eq!(&seq.0, &armed.0, "completions diverged");
         prop_assert_eq!(&seq.1, &armed.1, "stats diverged");
         prop_assert_eq!(&seq.2, &armed.2, "memory diverged");
@@ -381,14 +373,8 @@ fn proven_window_dispatch_is_not_vacuous() {
         .find(|s| s.name == "disjoint-sweep")
         .unwrap();
     let summary = summarize(&spec, 4, 1, OFFSETS).expect("disjoint sweep is provable");
-    let (_, stats, _, _, static_slots) = execute(
-        &spec,
-        4,
-        1,
-        Engine::Parallel { threads: 2 },
-        Some(summary),
-        false,
-    );
+    let (_, stats, _, _, static_slots) =
+        execute(&spec, 4, 1, Engine::Windowed, Some(summary), false);
     assert_eq!(stats.bank_conflicts, 0);
     assert!(
         static_slots > 0,
