@@ -3,8 +3,8 @@
 //! Soaks a steady disjoint-block workload (every processor continuously
 //! re-issuing reads/writes of its own block — the conflict-free case the
 //! windowed engine proves once per window) on a grid of machine shapes ×
-//! engines × variants (plain / traced / faulted / static-summary /
-//! dynamic-window), and records simulated slots per wall-clock second
+//! engines × variants (plain / traced / faulted / dynamic-window), and
+//! records simulated slots per wall-clock second
 //! into `BENCH_core.json`.
 //!
 //! The report includes `host_cpus` *and* `host_free_cores` (detected
@@ -22,8 +22,6 @@ use cfm_core::config::{CfmConfig, Engine};
 use cfm_core::fault::{FaultPlan, PlanParams};
 use cfm_core::machine::{CfmMachine, WindowRefusals};
 use cfm_core::op::Operation;
-use cfm_core::spec::{OffsetExpr, OpPattern, OpSpec, ProgramSpec};
-use cfm_verify::analyze::summarize;
 
 const WORD_WIDTH: u32 = 16;
 const SPARES: usize = 1;
@@ -38,26 +36,12 @@ const ENGINES: [(&str, Engine); 2] = [
     ("windowed", Engine::Windowed),
 ];
 
-/// `static-summary` arms the statically proven [`cfm_core::spec::HazardSummary`]
-/// for the same disjoint workload, so the planner skips the per-slot
-/// dynamic hazard scan and dispatches whole proven windows — the payoff
-/// the `cfm-verify analyze` proof buys at runtime. The symbolic footprint
-/// (strided residue classes, not a 64-bit mask) proves exclusive writers
-/// at any processor count, so windows engage at the n=256 shape exactly
-/// as they do at n=16 — the old 64-processor bitmask ceiling is gone.
+/// `plain`, `traced` and `faulted` issue a fixed per-processor block;
 /// `dynamic-window` rotates every processor's block each generation —
 /// disjoint at runtime but *not* expressible as a residue-class
-/// footprint, so no summary can arm and every window must be proven by
-/// the runtime hazard scan (`NotPeriodic` programs' path). The other
-/// variants issue a fixed per-processor block, which the scan also
-/// proves — `dynamic_fraction` shows windows engaging there too.
-const VARIANTS: [&str; 5] = [
-    "plain",
-    "traced",
-    "faulted",
-    "static-summary",
-    "dynamic-window",
-];
+/// footprint (`NotPeriodic` programs). The runtime hazard scan proves
+/// both shapes; `dynamic_fraction` shows how many slots it covered.
+const VARIANTS: [&str; 4] = ["plain", "traced", "faulted", "dynamic-window"];
 
 struct Measured {
     shape: (usize, u32),
@@ -66,7 +50,6 @@ struct Measured {
     slots: u64,
     wall_s: f64,
     parallel_slots: u64,
-    static_slots: u64,
     dynamic_slots: u64,
     dynamic_windows: u64,
     refusals: WindowRefusals,
@@ -76,7 +59,6 @@ struct Counters {
     slots: u64,
     wall_s: f64,
     parallel_slots: u64,
-    static_slots: u64,
     dynamic_slots: u64,
     dynamic_windows: u64,
     refusals: WindowRefusals,
@@ -122,30 +104,6 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
             },
         ));
     }
-    if variant == "static-summary" {
-        // The same disjoint workload, declared as a program spec: each
-        // processor alternates write/read on its own block. `summarize`
-        // statically proves it conflict-free and the armed summary lets
-        // `run()` dispatch whole proven windows.
-        let spec = ProgramSpec::uniform(
-            "bench-disjoint",
-            n,
-            1,
-            vec![
-                OpSpec::new(
-                    OpPattern::Write,
-                    OffsetExpr::ProcLinear { base: 0, stride: 1 },
-                ),
-                OpSpec::new(
-                    OpPattern::Read,
-                    OffsetExpr::ProcLinear { base: 0, stride: 1 },
-                ),
-            ],
-        );
-        let summary = summarize(&spec, n, c, n).expect("disjoint bench workload is provable");
-        m.arm_summary(summary)
-            .expect("fresh idle machine accepts the summary");
-    }
     let mut write_next = vec![true; n];
     let mut round = 0usize;
     let mut last_discard = 0u64;
@@ -175,10 +133,9 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
         }
         round = round.wrapping_add(1);
         // Window dispatch engages inside `run()`, never `step()`: drain
-        // the issued batch to idle (or the budget) in proven windows —
-        // statically proven on the static-summary variant, dynamically
-        // proven everywhere else — falling back to per-slot stepping
-        // wherever the preconditions fail (e.g. under active faults).
+        // the issued batch to idle (or the budget) in proven windows,
+        // falling back to per-slot stepping wherever the preconditions
+        // fail (e.g. under active faults).
         let _ = m.run(slot_budget - m.cycle());
         // Bound trace memory: the events are the cost being measured,
         // not the analysis, so discard them periodically — keeping the
@@ -194,7 +151,6 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
         slots: m.cycle(),
         wall_s: start.elapsed().as_secs_f64(),
         parallel_slots: m.parallel_slots(),
-        static_slots: m.static_slots(),
         dynamic_slots: m.dynamic_slots(),
         dynamic_windows: m.dynamic_windows(),
         refusals: m.window_refusals(),
@@ -218,10 +174,8 @@ fn json_report(
     out.push_str(
         "  \"note\": \"Honest numbers for the host recorded in host_cpus/host_free_cores \
          (logical CPUs minus 1-min load average at bench start); both engines run on one \
-         thread. static_fraction is the share of slots executed inside \
-         statically proven windows (armed summary); dynamic_fraction the share inside \
-         dynamically proven windows (runtime hazard scan, no summary needed — the path \
-         NotPeriodic programs get). window_refusals counts, per reason, the run() steps \
+         thread. dynamic_fraction is the share of slots executed inside windows proven \
+         by the runtime hazard scan. window_refusals counts, per reason, the run() steps \
          that fell back to a single slot instead of a window. See docs/performance.md.\",\n",
     );
     out.push_str("  \"runs\": [\n");
@@ -236,7 +190,6 @@ fn json_report(
             "    {{\"n\": {}, \"c\": {}, \"variant\": \"{}\", \"engine\": \"{}\", \
              \"slots\": {}, \"wall_time_s\": {:.4}, \"slots_per_s\": {:.0}, \
              \"speedup_vs_seq\": {:.3}, \"parallel_slots\": {}, \"parallel_fraction\": {:.3}, \
-             \"static_slots\": {}, \"static_fraction\": {:.3}, \
              \"dynamic_slots\": {}, \"dynamic_fraction\": {:.3}, \"dynamic_windows\": {}, \
              \"window_refusals\": {{\"fault\": {}, \"op_busy\": {}, \"short\": {}, \"hazard\": {}}}}}{}\n",
             m.shape.0,
@@ -249,8 +202,6 @@ fn json_report(
             rate / seq_rate,
             m.parallel_slots,
             m.parallel_slots as f64 / m.slots.max(1) as f64,
-            m.static_slots,
-            m.static_slots as f64 / m.slots.max(1) as f64,
             m.dynamic_slots,
             m.dynamic_slots as f64 / m.slots.max(1) as f64,
             m.dynamic_windows,
@@ -294,7 +245,6 @@ fn main() {
                     slots: c.slots,
                     wall_s: c.wall_s,
                     parallel_slots: c.parallel_slots,
-                    static_slots: c.static_slots,
                     dynamic_slots: c.dynamic_slots,
                     dynamic_windows: c.dynamic_windows,
                     refusals: c.refusals,
@@ -319,7 +269,6 @@ fn main() {
                 format!("{rate:.0}"),
                 format!("{:.3}", rate / seq_rate),
                 format!("{:.3}", m.parallel_slots as f64 / m.slots.max(1) as f64),
-                format!("{:.3}", m.static_slots as f64 / m.slots.max(1) as f64),
                 format!("{:.3}", m.dynamic_slots as f64 / m.slots.max(1) as f64),
             ]
         })
@@ -333,7 +282,6 @@ fn main() {
             "Slots/s",
             "vs seq",
             "par fraction",
-            "static fraction",
             "dyn fraction",
         ],
         &rows,

@@ -57,7 +57,7 @@
 //!   standard workloads under generated plans.
 //! * [`snapshot`] — checkpoint/restore: [`machine::CfmMachine::checkpoint`]
 //!   captures a running machine (memory image, ATT entries, in-flight
-//!   operations, fault state, armed summary) into a byte-stable versioned
+//!   operations, fault state) into a byte-stable versioned
 //!   [`snapshot::MachineSnapshot`] that restores into the same shape
 //!   byte-identically, or into a *larger* shape (more banks/spares) after
 //!   a drain — the substrate of `cfm-serve` live migration and
@@ -67,7 +67,8 @@
 //! * [`spec`] — declarative program specifications with symbolic
 //!   offsets, their static [`spec::Footprint`]s, and the
 //!   [`spec::HazardSummary`] artifact `cfm-verify analyze` proves and
-//!   the windowed engine's planner / `cfm-serve` admission consume.
+//!   reports; `cfm-serve` admission compares footprints. The machine
+//!   reads neither: its windowed engine proves every window at runtime.
 //! * [`testing`] — the [`testing::Injector`] facade over the machine's
 //!   seeded-fault hooks, used by the verifier's self-tests.
 //!

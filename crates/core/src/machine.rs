@@ -30,10 +30,9 @@ use crate::fault::{BankMap, FaultKind, FaultPlan, FaultState, RetireAction, MASK
 use crate::op::{
     BlockTransform, Completion, IssueError, OpKind, Operation, Outcome, PendingOp, StallError,
 };
-use crate::snapshot::{AttState, InFlightState, MachineSnapshot, SnapshotError, SummaryState};
-use crate::spec::{Footprint, HazardSummary, SummaryError};
+use crate::snapshot::{AttState, InFlightState, MachineSnapshot, SnapshotError};
 use crate::stats::Stats;
-use crate::trace::{DisarmReason, MemoryTrace, MergeAction, NullSink, TraceEvent, TraceSink};
+use crate::trace::{MemoryTrace, MergeAction, NullSink, TraceEvent, TraceSink};
 use crate::{BankId, BlockOffset, Cycle, ProcId, Word};
 
 /// Bounded retry budget against a transiently erroring bank; past it the
@@ -181,23 +180,11 @@ pub struct CfmMachine {
     /// window slots alike (deliberately *not* in [`Stats`]: stats must
     /// stay byte-identical across engines).
     parallel_slots: u64,
-    /// Statically proven hazard summary, armed by
-    /// [`CfmMachine::arm_summary`] — lets the single-slot planner skip the
-    /// dynamic ATT probe for statically safe offsets and dispatch whole
-    /// proven windows. Disarmed by any fault plan, seeded
-    /// fault hook, or undeclared issue (trust-but-verify).
-    summary: Option<HazardSummary>,
-    /// Slots executed inside statically proven windows (kept out of
+    /// Slots executed inside proven windows — the window hazard scan
+    /// proved a whole run of slots conflict-free at runtime (kept out of
     /// [`Stats`], like [`Self::parallel_slots`]).
-    static_slots: u64,
-    /// Number of statically proven windows dispatched.
-    static_windows: u64,
-    /// Slots executed inside *dynamically* proven windows — the window
-    /// hazard scan proved a whole run of slots conflict-free at runtime,
-    /// with no armed summary (kept out of [`Stats`], like
-    /// [`Self::parallel_slots`]).
     dynamic_slots: u64,
-    /// Number of dynamically proven windows dispatched.
+    /// Number of proven windows dispatched.
     dynamic_windows: u64,
     /// Scratch for the dynamic window hazard scan: interest owner per
     /// block offset (`0` = none, `p + 1` = single processor, `MANY` =
@@ -374,9 +361,6 @@ impl CfmMachine {
             retry_suppressions: 0,
             skip_remap_copy: false,
             parallel_slots: 0,
-            summary: None,
-            static_slots: 0,
-            static_windows: 0,
             dynamic_slots: 0,
             dynamic_windows: 0,
             scan_owner: vec![0; offsets],
@@ -392,8 +376,6 @@ impl CfmMachine {
     /// [`crate::testing::Injector`] facade. Events whose slot has already
     /// passed fire on the next step.
     pub(crate) fn install_fault_plan(&mut self, plan: FaultPlan) {
-        // Faults perturb accesses in ways no static proof covers.
-        self.disarm_with(DisarmReason::FaultPlan);
         self.fault_state = FaultState::new(plan, self.config.banks(), self.config.processors());
     }
 
@@ -453,22 +435,18 @@ impl CfmMachine {
     }
 
     pub(crate) fn seed_bank_alias(&mut self, logical: BankId, physical: usize) {
-        self.disarm_with(DisarmReason::SeededFault);
         self.bank_map.inject_alias(logical, physical);
     }
 
     pub(crate) fn seed_retry_suppression(&mut self, count: u64) {
-        self.disarm_with(DisarmReason::SeededFault);
         self.retry_suppressions = count;
     }
 
     pub(crate) fn seed_remap_copy_skip(&mut self) {
-        self.disarm_with(DisarmReason::SeededFault);
         self.skip_remap_copy = true;
     }
 
     pub(crate) fn seed_att_insert_drops(&mut self, count: u64) {
-        self.disarm_with(DisarmReason::SeededFault);
         self.att_insert_drops = count;
     }
 
@@ -479,21 +457,6 @@ impl CfmMachine {
         if let Some(t) = self.trace.as_mut() {
             t.record(event);
         }
-    }
-
-    /// Drop the armed summary (if any) and leave an auditable
-    /// [`TraceEvent::SummaryDisarmed`] in the trace saying why — every
-    /// disarm path funnels through here so proof-carrying disengagement
-    /// is never a silent counter change.
-    fn disarm_with(&mut self, reason: DisarmReason) -> Option<HazardSummary> {
-        let summary = self.summary.take();
-        if summary.is_some() {
-            self.record_event(TraceEvent::SummaryDisarmed {
-                slot: self.cycle,
-                reason,
-            });
-        }
-        summary
     }
 
     /// The machine's configuration.
@@ -520,100 +483,28 @@ impl CfmMachine {
         self.parallel_slots
     }
 
-    /// Arm a statically proven [`HazardSummary`] from `cfm-verify
-    /// analyze`. While armed, the single-slot planner skips the dynamic ATT
-    /// hazard probe for offsets the footprint proves safe, and
-    /// [`Self::run`] dispatches whole proven windows instead of one
-    /// slot at a time ([`Self::static_slots`] /
-    /// [`Self::static_windows`] count both). Observable behaviour —
-    /// completions, stats, memory, traces — is byte-identical with or
-    /// without a summary.
-    ///
-    /// The machine trusts but verifies: issuing an operation the
-    /// footprint does not declare silently disarms the summary (falling
-    /// back to the dynamic scan), as does installing a fault plan or any
-    /// seeded fault hook.
-    ///
-    /// Arming requires a quiescent machine: geometry must match, no
-    /// fault plan or seeded hook may be armed, no operation in flight,
-    /// and every ATT empty — a stale foreign ATT entry from an
-    /// unanalyzed predecessor program could otherwise slip past the
-    /// skipped probe.
-    pub fn arm_summary(&mut self, summary: HazardSummary) -> Result<(), SummaryError> {
-        let machine_geo = (
-            self.config.processors(),
-            self.config.banks(),
-            self.offsets(),
-        );
-        let summary_geo = (summary.processors(), summary.banks(), summary.offsets());
-        if machine_geo != summary_geo {
-            return Err(SummaryError::GeometryMismatch {
-                summary: summary_geo,
-                machine: machine_geo,
-            });
-        }
-        if !self.fault_state.is_idle(self.cycle)
-            || self.att_insert_drops > 0
-            || self.retry_suppressions > 0
-            || self.skip_remap_copy
-        {
-            return Err(SummaryError::FaultsArmed);
-        }
-        let atts_quiet = self
-            .atts
-            .iter()
-            .all(|a| a.entries().next().is_none() && a.held_entries().is_empty());
-        if !self.is_idle() || !atts_quiet {
-            return Err(SummaryError::MachineBusy);
-        }
-        self.record_event(TraceEvent::SummaryArmed {
-            slot: self.cycle,
-            processors: summary.processors(),
-            offsets: summary.offsets(),
-        });
-        self.summary = Some(summary);
-        Ok(())
-    }
-
-    /// Drop the armed summary (if any), returning it. The machine falls
-    /// back to the fully dynamic hazard scan; the trace records the
-    /// explicit disarm.
-    pub fn disarm_summary(&mut self) -> Option<HazardSummary> {
-        self.disarm_with(DisarmReason::Explicit)
-    }
-
-    /// The armed hazard summary, if one survived (arming succeeded and
-    /// nothing has disarmed it since).
-    pub fn summary(&self) -> Option<&HazardSummary> {
-        self.summary.as_ref()
-    }
-
-    /// Slots executed inside statically proven windows — each such slot
-    /// skipped the per-slot hazard probe and every per-access ATT check.
-    /// Kept out of [`Stats`] like [`Self::parallel_slots`] (a subset of
-    /// which these are).
+    /// Always 0: the machine has one window proof, the runtime hazard
+    /// scan counted by [`Self::dynamic_slots`]. Kept only because the
+    /// perfbench core workloads still read it; goes with that read.
     pub fn static_slots(&self) -> u64 {
-        self.static_slots
+        0
     }
 
-    /// Number of statically proven windows dispatched (each covered
-    /// [`Self::static_slots`]` / `[`Self::static_windows`] slots on
-    /// average in one proven run).
+    /// Always 0, like [`Self::static_slots`] and for the same reason.
     pub fn static_windows(&self) -> u64 {
-        self.static_windows
+        0
     }
 
-    /// Slots executed inside dynamically proven windows: the runtime
-    /// window hazard scan proved a whole run of slots conflict-free —
-    /// against the ATT offset indexes, the fault plan and the in-flight
-    /// set — and executed it without per-access ATT checks, with no
-    /// armed summary required. Kept out of [`Stats`] like
-    /// [`Self::parallel_slots`] (a subset of which these are).
+    /// Slots executed inside proven windows: the runtime window hazard
+    /// scan proved a whole run of slots conflict-free — against the ATT
+    /// offset indexes, the fault plan and the in-flight set — and
+    /// executed it without per-access ATT checks. Kept out of [`Stats`]
+    /// like [`Self::parallel_slots`] (a subset of which these are).
     pub fn dynamic_slots(&self) -> u64 {
         self.dynamic_slots
     }
 
-    /// Number of dynamically proven windows dispatched.
+    /// Number of proven windows dispatched.
     pub fn dynamic_windows(&self) -> u64 {
         self.dynamic_windows
     }
@@ -753,22 +644,6 @@ impl CfmMachine {
                 (OpKind::Rmw, offset, self.take_buf(), Some(transform))
             }
         };
-        // Trust-but-verify: an issue the armed summary's footprint does
-        // not declare invalidates the static proof — disarm and fall
-        // back to the dynamic hazard scan rather than keep an unsound
-        // skip. An out-of-range typed error cannot occur here (the
-        // machine already rejected the offset above), but would disarm
-        // conservatively all the same.
-        let writes = kind != OpKind::Read;
-        if let Some(s) = self.summary.as_ref() {
-            if !s.declares(p, writes, offset).unwrap_or(false) {
-                self.disarm_with(DisarmReason::UndeclaredIssue {
-                    proc: p,
-                    offset,
-                    writes,
-                });
-            }
-        }
         let phase = match kind {
             OpKind::Write => Phase::Write,
             _ => Phase::Read,
@@ -1239,18 +1114,9 @@ impl CfmMachine {
             let Some(op) = slot.as_ref().filter(|op| injects(op)) else {
                 continue;
             };
-            // A statically safe offset (no other processor ever writes
-            // it, per the armed summary) cannot have a foreign ATT entry
-            // — the dynamic probe is provably negative and is skipped.
-            let statically_safe = self
-                .summary
-                .as_ref()
-                .is_some_and(|s| s.plan_safe(op.offset, p));
             if self.fault_state.transient_fault(now, k)
                 || op.held_entry.is_some()
-                || (self.att_enabled
-                    && !statically_safe
-                    && self.atts[k].contended_by_other(op.offset, p))
+                || (self.att_enabled && self.atts[k].contended_by_other(op.offset, p))
             {
                 return false;
             }
@@ -1425,75 +1291,11 @@ impl CfmMachine {
         })
     }
 
-    /// Attempt to run the next slots as one statically proven window
-    /// ([`Self::step_window`]), returning the number of slots executed
-    /// (0 = preconditions not met; the caller falls back to
-    /// [`Self::step`]).
-    ///
-    /// A window engages only when: a [`HazardSummary`] is armed, the
-    /// engine is windowed, the fault state and seeded hooks are fully
-    /// quiescent, and every in-flight operation is mid-phase — not
-    /// draining, not sleeping, not fault-stalled — on a statically safe
-    /// offset. The width stops strictly before any operation's final
-    /// access, so no completion, ATT verdict, restart, or
-    /// phase-to-drain transition can occur inside the window — which is
-    /// what makes batched execution observably identical to per-slot
-    /// stepping. Traced runs take the window path too, emitting events
-    /// in the sequential engine's exact order (byte-pinned).
-    fn try_step_window(&mut self, budget: u64) -> u64 {
-        if budget < 2 || self.config.engine() != Engine::Windowed {
-            return 0;
-        }
-        let Some(summary) = self.summary.as_ref() else {
-            return 0;
-        };
-        if self.att_insert_drops > 0
-            || self.retry_suppressions > 0
-            || !self.fault_state.is_idle(self.cycle)
-        {
-            return 0;
-        }
-        let b = self.config.banks();
-        let now = self.cycle;
-        let mut min_remaining = u64::MAX;
-        let mut actives = 0usize;
-        for (p, slot) in self.inflight.iter().enumerate() {
-            let Some(op) = slot.as_ref() else { continue };
-            if op.phase == Phase::Drain
-                || now < op.sleep_until
-                || op.held_entry.is_some()
-                || !summary.plan_safe(op.offset, p)
-            {
-                return 0;
-            }
-            // Accesses remaining until the one that enters Drain; the
-            // window must stop strictly before it.
-            let until_final = match (op.kind, op.phase) {
-                (OpKind::Swap | OpKind::Rmw, Phase::Read) => (2 * b - op.visited) as u64,
-                _ => (b - op.visited) as u64,
-            };
-            min_remaining = min_remaining.min(until_final);
-            actives += 1;
-        }
-        if actives == 0 {
-            return 0;
-        }
-        let w = (min_remaining - 1).min(budget);
-        if w < 2 {
-            // A 1-slot window saves nothing over the ordinary step.
-            return 0;
-        }
-        self.step_window(w, false);
-        w
-    }
-
-    /// Attempt the next slots as one *dynamically* proven window —
-    /// no armed [`HazardSummary`] required. One pass over the live
-    /// interests (every bank's ATT entries, held included, then the
-    /// in-flight operations) proves a window of `w` slots
-    /// conflict-free at runtime, giving unanalyzable (`NotPeriodic`)
-    /// programs the same one-proof-per-window economics the static
-    /// summary unlocks. Returns the slots executed (0 = hazard or
+    /// Attempt the next slots as one proven window — the machine's only
+    /// window proof. One pass over the live interests (every bank's ATT
+    /// entries, held included, then the in-flight operations) proves a
+    /// window of `w` slots conflict-free at runtime, for any program,
+    /// analyzable or not. Returns the slots executed (0 = hazard or
     /// preconditions unmet; the caller falls back to [`Self::step`]).
     ///
     /// Soundness: with every in-flight operation mid-phase (not
@@ -1510,7 +1312,7 @@ impl CfmMachine {
     /// the sequential loop would discover slot by slot — every
     /// `read_conflict` is `None`, every write verdict is `Proceed` —
     /// so the whole window commits without a single per-access check.
-    fn try_step_dynamic_window(&mut self, budget: u64) -> u64 {
+    fn try_step_window(&mut self, budget: u64) -> u64 {
         if self.config.engine() != Engine::Windowed {
             return 0;
         }
@@ -1605,19 +1407,18 @@ impl CfmMachine {
             self.window_refusals.hazard += 1;
             return 0;
         }
-        self.step_window(w, true);
+        self.step_window(w);
         w
     }
 
     /// Execute `w` consecutive slots of a proven window.
     ///
-    /// [`Self::try_step_window`] or [`Self::try_step_dynamic_window`]
-    /// proved the window inert: no operation completes, restarts,
-    /// sleeps, or meets any ATT verdict other than an implicit `Proceed`
-    /// inside it, and no offset is both written and observed by
-    /// different processors. The window runs as one fused pass per slot
+    /// [`Self::try_step_window`] proved the window inert: no operation
+    /// completes, restarts, sleeps, or meets any ATT verdict other than
+    /// an implicit `Proceed` inside it, and no offset is both written
+    /// and observed by different processors. The window runs as one fused pass per slot
     /// ([`Self::window_inline`]).
-    fn step_window(&mut self, w: u64, dynamic: bool) {
+    fn step_window(&mut self, w: u64) {
         let mut active = self.trace.take();
         match active.as_mut() {
             Some(trace) => self.window_inline(w, trace),
@@ -1627,13 +1428,8 @@ impl CfmMachine {
         self.cycle += w;
         self.stats.cycles += w;
         self.parallel_slots += w;
-        if dynamic {
-            self.dynamic_slots += w;
-            self.dynamic_windows += 1;
-        } else {
-            self.static_slots += w;
-            self.static_windows += 1;
-        }
+        self.dynamic_slots += w;
+        self.dynamic_windows += 1;
     }
 
     /// The machine state the fused access kernel mutates, borrowed apart
@@ -1718,15 +1514,10 @@ impl CfmMachine {
             if self.is_idle() {
                 break;
             }
-            // Under the windowed engines, run whole proven windows —
-            // statically proven when a summary is armed, otherwise
-            // dynamically proven by the runtime hazard scan; any slot
-            // neither window's preconditions cover falls back to the
-            // ordinary per-slot step.
-            let mut advanced = self.try_step_window(max_cycles - used);
-            if advanced == 0 {
-                advanced = self.try_step_dynamic_window(max_cycles - used);
-            }
+            // Under the windowed engine, run whole windows proven by the
+            // runtime hazard scan; any slot the proof does not cover
+            // falls back to the ordinary per-slot step.
+            let advanced = self.try_step_window(max_cycles - used);
             if advanced == 0 {
                 self.step();
                 used += 1;
@@ -1790,8 +1581,8 @@ impl CfmMachine {
     /// Capture the complete machine state into a [`MachineSnapshot`]:
     /// the committed memory image and writer stamps (physical banks,
     /// spares included), every ATT entry (held ones too), in-flight
-    /// operations, undelivered completions, statistics, the live fault
-    /// state, and any armed summary. Checkpointing happens at a step
+    /// operations, undelivered completions, statistics and the live
+    /// fault state. Checkpointing happens at a step
     /// boundary and does not perturb the machine — `checkpoint` then
     /// [`MachineSnapshot::restore`] continues byte-identically to the
     /// uninterrupted run.
@@ -1847,26 +1638,6 @@ impl CfmMachine {
                 })
             })
             .collect();
-        let summary = self.summary.as_ref().map(|s| {
-            let s_offsets = s.offsets();
-            let fp = s.footprint();
-            let classes_of = |set: Result<&crate::spec::ProcSet, _>| {
-                set.map(|ps| ps.classes().to_vec()).unwrap_or_default()
-            };
-            SummaryState {
-                processors: s.processors(),
-                banks: s.banks(),
-                att_bound: s.att_bound,
-                per_bank_accesses: s.per_bank_accesses.clone(),
-                offsets: s_offsets,
-                readers: (0..s_offsets)
-                    .map(|o| classes_of(fp.readers_at(o)))
-                    .collect(),
-                writers: (0..s_offsets)
-                    .map(|o| classes_of(fp.writers_at(o)))
-                    .collect(),
-            }
-        });
         MachineSnapshot {
             processors: n,
             bank_cycle: self.config.bank_cycle(),
@@ -1881,8 +1652,6 @@ impl CfmMachine {
             next_op_id: self.next_op_id,
             stats: self.stats,
             parallel_slots: self.parallel_slots,
-            static_slots: self.static_slots,
-            static_windows: self.static_windows,
             dynamic_slots: self.dynamic_slots,
             dynamic_windows: self.dynamic_windows,
             att_insert_drops: self.att_insert_drops,
@@ -1911,7 +1680,6 @@ impl CfmMachine {
                 .iter()
                 .map(|q| q.iter().cloned().collect())
                 .collect(),
-            summary,
         }
     }
 
@@ -2047,10 +1815,6 @@ impl CfmMachine {
             q.extend(src.iter().cloned());
         }
         Self::restore_counters(&mut m, s);
-        // Rebuilt directly: the arming gate requires an idle machine,
-        // which a mid-run snapshot is not — the summary was provably
-        // armed on the source, and the shape is identical.
-        m.summary = s.summary.as_ref().map(Self::rebuild_summary);
         if s.tracing {
             m.start_trace();
         }
@@ -2165,7 +1929,6 @@ impl CfmMachine {
             m.done[p].extend(q.iter().cloned());
         }
         Self::restore_counters(&mut m, s);
-        // The armed summary is geometry-bound — dropped, not carried.
         if s.tracing {
             m.start_trace();
         }
@@ -2178,35 +1941,11 @@ impl CfmMachine {
         m.next_op_id = s.next_op_id;
         m.stats = s.stats;
         m.parallel_slots = s.parallel_slots;
-        m.static_slots = s.static_slots;
-        m.static_windows = s.static_windows;
         m.dynamic_slots = s.dynamic_slots;
         m.dynamic_windows = s.dynamic_windows;
         m.att_insert_drops = s.att_insert_drops;
         m.retry_suppressions = s.retry_suppressions;
         m.skip_remap_copy = s.skip_remap_copy;
-    }
-
-    /// Rebuild an armed [`HazardSummary`] from its serialised residue
-    /// classes: replaying `record_class` reproduces the footprint (and
-    /// its exclusive-writer cache) semantically, then the analyzer-
-    /// filled bounds are copied over.
-    fn rebuild_summary(ss: &SummaryState) -> HazardSummary {
-        let mut fp = Footprint::new(ss.offsets);
-        for (o, classes) in ss.readers.iter().enumerate() {
-            for c in classes {
-                fp.record_class(*c, false, o);
-            }
-        }
-        for (o, classes) in ss.writers.iter().enumerate() {
-            for c in classes {
-                fp.record_class(*c, true, o);
-            }
-        }
-        let mut summary = HazardSummary::new(ss.processors, ss.banks, fp);
-        summary.att_bound = ss.att_bound;
-        summary.per_bank_accesses = ss.per_bank_accesses.clone();
-        summary
     }
 }
 
@@ -3091,70 +2830,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_window_dispatch_is_byte_identical_and_counted() {
-        use crate::spec::{Footprint, HazardSummary};
-        let n = 4;
-        let offsets = 8;
-        // Disjoint per-processor footprint: processor p reads, writes
-        // and swaps only block p — every offset statically safe.
-        let mut fp = Footprint::new(offsets);
-        for p in 0..n {
-            fp.record(p, true, p);
-            fp.record(p, false, p);
-        }
-        let run = |engine: Engine, summary: Option<HazardSummary>| {
-            let cfg = CfmConfig::new(n, 1, 16).unwrap().with_engine(engine);
-            let b = cfg.banks();
-            let mut m = CfmMachine::builder(cfg).offsets(offsets).build();
-            if let Some(s) = summary {
-                m.arm_summary(s).unwrap();
-            }
-            let mut completions = Vec::new();
-            for round in 1..4u64 {
-                for p in 0..n {
-                    m.issue(p, Operation::write(p, vec![round; b])).unwrap();
-                }
-                completions.extend(m.run(10_000).expect_idle());
-                for p in 0..n {
-                    // Swaps cover the in-window read→write transition.
-                    m.issue(p, Operation::swap(p, vec![round ^ 0xFF; b]))
-                        .unwrap();
-                }
-                completions.extend(m.run(10_000).expect_idle());
-                for p in 0..n {
-                    m.issue(p, Operation::read(p)).unwrap();
-                }
-                completions.extend(m.run(10_000).expect_idle());
-            }
-            let memory: Vec<_> = (0..offsets).map(|o| m.peek_block(o)).collect();
-            (
-                completions,
-                *m.stats(),
-                memory,
-                m.static_slots(),
-                m.static_windows(),
-            )
-        };
-        let seq = run(Engine::Sequential, None);
-        let par = run(Engine::Windowed, None);
-        let stat = run(Engine::Windowed, Some(HazardSummary::new(n, n, fp)));
-        assert_eq!(seq.0, par.0, "completions (plain windowed)");
-        assert_eq!(seq.0, stat.0, "completions (summary)");
-        assert_eq!(seq.1, stat.1, "stats");
-        assert_eq!(seq.2, stat.2, "memory");
-        assert_eq!(par.3, 0, "no windows without a summary");
-        assert!(stat.3 > 0, "summary run executed window slots");
-        assert!(stat.4 > 0, "summary run dispatched whole windows");
-    }
-
-    #[test]
     fn dynamic_window_dispatch_is_byte_identical_and_counted() {
         // Rotating per-round offsets — disjoint within every round but
-        // not expressible as a static residue-class footprint, so no
-        // summary can arm: exactly the shape the runtime hazard scan
-        // exists for. The windowed run must produce byte-identical
-        // completions, stats and memory while executing most slots as
-        // dynamically proven windows.
+        // not expressible as a static residue-class footprint: the
+        // runtime hazard scan proves each round anyway. The windowed run
+        // must produce byte-identical completions, stats and memory
+        // while executing most slots as proven windows.
         let n = 4;
         let offsets = 8;
         let run = |engine: Engine| {
@@ -3186,7 +2867,6 @@ mod tests {
                 memory,
                 m.dynamic_slots(),
                 m.dynamic_windows(),
-                m.static_windows(),
             )
         };
         let seq = run(Engine::Sequential);
@@ -3197,7 +2877,6 @@ mod tests {
         assert_eq!(seq.3, 0, "sequential engine takes no windows");
         assert!(par.3 > 0, "dynamic windows executed slots");
         assert!(par.4 > 0, "dynamic windows dispatched");
-        assert_eq!(par.5, 0, "no static windows without a summary");
     }
 
     #[test]
@@ -3287,117 +2966,5 @@ mod tests {
         }
         m.run(10_000).expect_idle();
         assert_eq!(m.window_refusals(), WindowRefusals::default());
-    }
-
-    #[test]
-    fn undeclared_issue_disarms_summary() {
-        use crate::spec::{Footprint, HazardSummary};
-        let cfg = CfmConfig::new(4, 1, 16)
-            .unwrap()
-            .with_engine(Engine::Windowed);
-        let b = cfg.banks();
-        let mut m = CfmMachine::builder(cfg).offsets(8).build();
-        let mut fp = Footprint::new(8);
-        fp.record(0, true, 0);
-        m.arm_summary(HazardSummary::new(4, b, fp)).unwrap();
-        m.issue(0, Operation::write(0, vec![1; b])).unwrap();
-        assert!(m.summary().is_some(), "declared issue keeps the summary");
-        m.issue(1, Operation::write(1, vec![2; b])).unwrap();
-        assert!(m.summary().is_none(), "undeclared issue disarms it");
-        m.run(1_000).expect_idle();
-    }
-
-    #[test]
-    fn summary_lifecycle_is_traced_with_reasons() {
-        use crate::spec::{Footprint, HazardSummary};
-        use crate::trace::{DisarmReason, TraceEvent};
-        let cfg = CfmConfig::new(4, 1, 16).unwrap();
-        let b = cfg.banks();
-        let mut m = CfmMachine::builder(cfg).offsets(8).trace(true).build();
-        let mut fp = Footprint::new(8);
-        fp.record(0, true, 0);
-        let summary = HazardSummary::new(4, b, fp);
-        m.arm_summary(summary.clone()).unwrap();
-        // Explicit disarm.
-        m.disarm_summary().unwrap();
-        m.arm_summary(summary.clone()).unwrap();
-        // An undeclared issue disarms, naming the offending op.
-        m.issue(1, Operation::write(1, vec![2; b])).unwrap();
-        m.run(1_000).expect_idle();
-        for _ in 0..2 * b {
-            m.step(); // let the write's ATT entry expire
-        }
-        m.arm_summary(summary).unwrap();
-        // A fault plan voids the proof.
-        m.injector().fault_plan(FaultPlan::empty());
-        let events = m.take_trace().unwrap().into_events();
-        let armed = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TraceEvent::SummaryArmed {
-                        processors: 4,
-                        offsets: 8,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(armed, 3, "every arm is audited");
-        let reasons: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::SummaryDisarmed { reason, .. } => Some(reason),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(reasons.len(), 3, "every disarm is audited");
-        assert!(matches!(reasons[0], DisarmReason::Explicit));
-        assert!(matches!(
-            reasons[1],
-            DisarmReason::UndeclaredIssue {
-                proc: 1,
-                offset: 1,
-                writes: true
-            }
-        ));
-        assert!(matches!(reasons[2], DisarmReason::FaultPlan));
-        assert!(events.iter().all(|e| !e.is_summary_lifecycle()
-            || matches!(
-                e,
-                TraceEvent::SummaryArmed { .. } | TraceEvent::SummaryDisarmed { .. }
-            )));
-    }
-
-    #[test]
-    fn summary_arming_gates_and_fault_disarm() {
-        use crate::spec::{Footprint, HazardSummary, SummaryError};
-        let cfg = CfmConfig::new(4, 1, 16).unwrap();
-        let b = cfg.banks();
-        let mut m = CfmMachine::builder(cfg).offsets(8).build();
-        let bad = HazardSummary::new(2, b, Footprint::new(8));
-        assert!(matches!(
-            m.arm_summary(bad),
-            Err(SummaryError::GeometryMismatch { .. })
-        ));
-        let good = HazardSummary::new(4, b, Footprint::new(8));
-        // In-flight operation blocks arming.
-        m.issue(0, Operation::write(3, vec![1; b])).unwrap();
-        assert_eq!(m.arm_summary(good.clone()), Err(SummaryError::MachineBusy));
-        m.run(1_000).expect_idle();
-        // The write's ATT entry is still live right after completion.
-        assert_eq!(m.arm_summary(good.clone()), Err(SummaryError::MachineBusy));
-        for _ in 0..2 * b {
-            m.step();
-        }
-        m.arm_summary(good.clone()).unwrap();
-        // A fault plan disarms; seeded hooks refuse re-arming.
-        m.injector().fault_plan(FaultPlan::empty());
-        assert!(m.summary().is_none());
-        m.arm_summary(good.clone()).unwrap();
-        m.injector().suppress_retries(1);
-        assert!(m.summary().is_none(), "seeded hook disarms");
-        assert_eq!(m.arm_summary(good), Err(SummaryError::FaultsArmed));
     }
 }

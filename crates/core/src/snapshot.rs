@@ -4,8 +4,8 @@
 //! the committed memory image and writer stamps, every ATT entry
 //! (including held/retrying ones), in-flight operations, undelivered
 //! completions, statistics, the live fault state ([`crate::fault::BankMap`]
-//! remaps/masks, pending transient retries and response faults) and any
-//! armed [`crate::spec::HazardSummary`] — into a [`MachineSnapshot`].
+//! remaps/masks, pending transient retries and response faults) — into a
+//! [`MachineSnapshot`].
 //! The snapshot serialises to a *byte-stable* versioned format
 //! ([`MachineSnapshot::to_bytes`]): same machine state, same bytes, on any
 //! host. Restoring ([`MachineSnapshot::restore_into`]) rebuilds a machine
@@ -28,7 +28,6 @@ use crate::config::{CfmConfig, ConfigError, Engine};
 use crate::fault::{FaultEvent, FaultKind, MapConflict};
 use crate::machine::CfmMachine;
 use crate::op::{BlockTransform, Completion, OpKind, Outcome};
-use crate::spec::ProcClass;
 use crate::stats::Stats;
 use crate::{BankId, BlockOffset, Cycle, ProcId, Word};
 
@@ -37,8 +36,10 @@ use crate::{BankId, BlockOffset, Cycle, ProcId, Word};
 /// Version history: 1 = initial format; 2 = appends the dynamic-window
 /// counters (`dynamic_slots`, `dynamic_windows`) after `static_windows`;
 /// 3 = the engine is a bare tag byte (the thread count that followed the
-/// windowed tag is gone with the multi-lane engine).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// windowed tag is gone with the multi-lane engine); 4 = drops the
+/// trailing armed-summary section and the two static-window counters
+/// (the machine has one window proof, the runtime hazard scan).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Leading magic of every serialised snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CFMSNAP\0";
@@ -192,21 +193,6 @@ pub(crate) struct InFlightState {
     pub(crate) last_progress: Cycle,
 }
 
-/// A captured armed [`crate::spec::HazardSummary`]: geometry, bounds and
-/// the footprint's per-offset reader/writer residue classes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SummaryState {
-    pub(crate) processors: usize,
-    pub(crate) banks: usize,
-    pub(crate) att_bound: usize,
-    pub(crate) per_bank_accesses: Vec<u64>,
-    pub(crate) offsets: usize,
-    /// Reader classes per offset, in footprint iteration order.
-    pub(crate) readers: Vec<Vec<ProcClass>>,
-    /// Writer classes per offset, in footprint iteration order.
-    pub(crate) writers: Vec<Vec<ProcClass>>,
-}
-
 /// A complete, self-contained checkpoint of a [`CfmMachine`].
 ///
 /// Obtained from [`CfmMachine::checkpoint`]; serialised with
@@ -236,8 +222,6 @@ pub struct MachineSnapshot {
     pub(crate) next_op_id: u64,
     pub(crate) stats: Stats,
     pub(crate) parallel_slots: u64,
-    pub(crate) static_slots: u64,
-    pub(crate) static_windows: u64,
     pub(crate) dynamic_slots: u64,
     pub(crate) dynamic_windows: u64,
     // Seeded-fault hooks.
@@ -261,8 +245,6 @@ pub struct MachineSnapshot {
     // Operations.
     pub(crate) inflight: Vec<Option<InFlightState>>,
     pub(crate) done: Vec<Vec<Completion>>,
-    // Armed static proof.
-    pub(crate) summary: Option<SummaryState>,
 }
 
 impl MachineSnapshot {
@@ -334,8 +316,8 @@ impl MachineSnapshot {
     /// *Same shape* (equal processors, bank cycle and spares; the engine
     /// and word width are free): everything is restored
     /// verbatim — in-flight operations, ATT entries (held ones
-    /// included), the degraded bank map, pending fault retries, the
-    /// armed summary — and the machine continues byte-identically.
+    /// included), the degraded bank map, pending fault retries — and the
+    /// machine continues byte-identically.
     ///
     /// *Larger shape* (more banks and/or more spares): requires a
     /// [quiescent](Self::is_quiescent) snapshot. The surviving logical
@@ -344,8 +326,7 @@ impl MachineSnapshot {
     /// with the masked writer stamp; words of newly added banks carry
     /// the same stamp — absent, not a second writer tearing pre-restore
     /// blocks); the fault plan, statistics, cycle
-    /// counter and seeded hooks carry over; the armed summary is dropped
-    /// (its proof is geometry-bound).
+    /// counter and seeded hooks carry over.
     ///
     /// Either path proves the restore map injective before returning —
     /// an aliased map is a typed
@@ -380,8 +361,6 @@ impl MachineSnapshot {
         e.u64(self.next_op_id);
         enc_stats(&mut e, &self.stats);
         e.u64(self.parallel_slots);
-        e.u64(self.static_slots);
-        e.u64(self.static_windows);
         e.u64(self.dynamic_slots);
         e.u64(self.dynamic_windows);
         e.u64(self.att_insert_drops);
@@ -455,25 +434,6 @@ impl MachineSnapshot {
                 enc_completion(&mut e, c);
             }
         }
-        match &self.summary {
-            None => e.u8(0),
-            Some(s) => {
-                e.u8(1);
-                e.usize(s.processors);
-                e.usize(s.banks);
-                e.usize(s.att_bound);
-                e.words(&s.per_bank_accesses);
-                e.usize(s.offsets);
-                for classes in s.readers.iter().chain(s.writers.iter()) {
-                    e.usize(classes.len());
-                    for c in classes {
-                        e.usize(c.first);
-                        e.usize(c.step);
-                        e.usize(c.count);
-                    }
-                }
-            }
-        }
         e.buf
     }
 
@@ -518,8 +478,6 @@ impl MachineSnapshot {
         let next_op_id = d.u64()?;
         let stats = dec_stats(&mut d)?;
         let parallel_slots = d.u64()?;
-        let static_slots = d.u64()?;
-        let static_windows = d.u64()?;
         let dynamic_slots = d.u64()?;
         let dynamic_windows = d.u64()?;
         let att_insert_drops = d.u64()?;
@@ -615,46 +573,6 @@ impl MachineSnapshot {
             }
             done.push(q);
         }
-        let summary = match d.u8()? {
-            0 => None,
-            1 => {
-                let s_processors = d.usize()?;
-                let s_banks = d.usize()?;
-                let att_bound = d.usize()?;
-                let per_bank_accesses = d.words()?;
-                let s_offsets = d.usize()?;
-                let mut read_sets = Vec::with_capacity(s_offsets);
-                let mut write_sets = Vec::with_capacity(s_offsets);
-                for sets in [&mut read_sets, &mut write_sets] {
-                    for _ in 0..s_offsets {
-                        let c_n = d.len()?;
-                        let mut classes = Vec::with_capacity(c_n);
-                        for _ in 0..c_n {
-                            classes.push(ProcClass {
-                                first: d.usize()?,
-                                step: d.usize()?,
-                                count: d.usize()?,
-                            });
-                        }
-                        sets.push(classes);
-                    }
-                }
-                Some(SummaryState {
-                    processors: s_processors,
-                    banks: s_banks,
-                    att_bound,
-                    per_bank_accesses,
-                    offsets: s_offsets,
-                    readers: read_sets,
-                    writers: write_sets,
-                })
-            }
-            _ => {
-                return Err(SnapshotError::Malformed {
-                    what: "summary tag",
-                })
-            }
-        };
         if !d.at_end() {
             return Err(SnapshotError::Malformed {
                 what: "trailing bytes",
@@ -674,8 +592,6 @@ impl MachineSnapshot {
             next_op_id,
             stats,
             parallel_slots,
-            static_slots,
-            static_windows,
             dynamic_slots,
             dynamic_windows,
             att_insert_drops,
@@ -693,7 +609,6 @@ impl MachineSnapshot {
             pending_responses,
             inflight,
             done,
-            summary,
         })
     }
 }

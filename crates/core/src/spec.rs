@@ -10,26 +10,24 @@
 //! [`Operation`]s a [`crate::program::Runner`] executes. One spec, two
 //! consumers: what is proven is exactly what runs.
 //!
-//! Two artifacts of the analysis live here because the machine and the
-//! service consume them:
+//! Two artifacts of the analysis live here because the analyzer and the
+//! service share them:
 //!
 //! * [`Footprint`] — per-offset reader/writer processor sets. The
 //!   `cfm-serve` admission check compares tenants' footprints
 //!   ([`Footprint::conflicts_with`]) and rejects statically conflicting
 //!   programs before a single operation is queued.
 //! * [`HazardSummary`] — a proven-safe footprint plus ATT occupancy and
-//!   per-bank access bounds, armed on a [`crate::machine::CfmMachine`]
-//!   ([`crate::machine::CfmMachine::arm_summary`]) so the windowed
-//!   engine's planner can skip the dynamic per-slot hazard probe for
-//!   statically safe offsets and dispatch whole proven windows.
+//!   per-bank access bounds: the report `cfm-verify analyze` produces.
+//!   The machine never consumes it; its windowed engine proves every
+//!   window at runtime with its own hazard scan.
 //!
 //! The safety notion is deliberately conservative (see
 //! `docs/static-analysis.md`): an `(offset, proc)` pair is *statically
 //! safe* when no **other** processor ever writes that offset — then no
-//! foreign ATT entry for the offset can exist, so every dynamic probe
-//! the planner would run is provably a no-op. Offsets with
-//! data-dependent expressions are never safe; they fall back to the
-//! dynamic scan.
+//! foreign ATT entry for the offset can exist, so every runtime hazard
+//! probe is provably negative. Offsets with data-dependent expressions
+//! are never safe.
 
 use crate::op::{OpKind, Operation};
 use crate::{BlockOffset, ProcId};
@@ -55,8 +53,8 @@ pub enum OffsetExpr {
     /// An offset computed from run-time data — *not* statically
     /// analyzable. `eval` derives a deterministic pseudo-random offset
     /// from the seed so the spec still instantiates and runs; the
-    /// analyzer refuses to summarize it and the machine keeps its
-    /// dynamic hazard scan.
+    /// analyzer refuses to summarize it (the machine's runtime hazard
+    /// scan does not care).
     DataDependent {
         /// Seed of the deterministic surrogate offset.
         seed: u64,
@@ -397,9 +395,9 @@ impl PartialEq for ProcSet {
 
 impl Eq for ProcSet {}
 
-/// Cached exclusive-writer verdict for one offset — the O(1) hot-path
-/// answer [`Footprint::plan_safe`] gives the single-slot planner, updated
-/// incrementally as writers are recorded.
+/// Cached exclusive-writer verdict for one offset — the O(1) answer
+/// [`Footprint::plan_safe`] gives, updated incrementally as writers are
+/// recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WriterState {
     /// Nobody writes the offset.
@@ -593,10 +591,9 @@ impl Footprint {
 
     /// Whether `(offset, p)` is *statically safe*: no other processor
     /// ever writes `offset`, so no foreign ATT entry for it can exist
-    /// and every dynamic hazard probe is provably negative. O(1) from
+    /// and every runtime hazard probe is provably negative. O(1) from
     /// the cached exclusive-writer state; out-of-range offsets are
-    /// conservatively unsafe (the planner falls back to the dynamic
-    /// scan, which is always sound).
+    /// conservatively unsafe.
     pub fn plan_safe(&self, offset: BlockOffset, p: ProcId) -> bool {
         if offset >= self.offsets {
             return false;
@@ -608,14 +605,13 @@ impl Footprint {
         }
     }
 
-    /// Whether the footprint declares this access — the machine's
-    /// trust-but-verify gate: an undeclared access disarms the armed
-    /// summary instead of silently keeping a now-unsound proof.
+    /// Whether the footprint declares this access (a declared writer may
+    /// also read).
     ///
     /// Out-of-range offsets are a typed [`FootprintError`], not a
-    /// silent `false`: the caller decides whether that means "reject",
-    /// "disarm" or "report", and nothing can misread it as "declared
-    /// nowhere, no conflict".
+    /// silent `false`: the caller decides whether that means "reject"
+    /// or "report", and nothing can misread it as "declared nowhere, no
+    /// conflict".
     pub fn declares(
         &self,
         p: ProcId,
@@ -704,59 +700,12 @@ impl Footprint {
     }
 }
 
-/// Why [`crate::machine::CfmMachine::arm_summary`] refused a summary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SummaryError {
-    /// The summary was computed for a different machine shape.
-    GeometryMismatch {
-        /// `(processors, banks, offsets)` the summary was proven for.
-        summary: (usize, usize, usize),
-        /// `(processors, banks, offsets)` of the machine.
-        machine: (usize, usize, usize),
-    },
-    /// A fault plan or seeded fault hook is armed — faults perturb
-    /// accesses in ways no static proof covers, so the summary is
-    /// refused (and an armed summary is dropped when a plan is
-    /// installed later).
-    FaultsArmed,
-    /// Operations are in flight or ATT entries are still live. The
-    /// summary's footprint covers the program *about to run*; arming
-    /// over residue from an unanalyzed predecessor could let a stale
-    /// foreign ATT entry slip past the skipped hazard probe.
-    MachineBusy,
-}
-
-impl std::fmt::Display for SummaryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SummaryError::GeometryMismatch { summary, machine } => write!(
-                f,
-                "summary proven for (n={}, b={}, offsets={}) but machine is \
-                 (n={}, b={}, offsets={})",
-                summary.0, summary.1, summary.2, machine.0, machine.1, machine.2
-            ),
-            SummaryError::FaultsArmed => {
-                write!(f, "a fault plan or seeded fault hook is armed")
-            }
-            SummaryError::MachineBusy => {
-                write!(f, "operations in flight or ATT entries still live")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SummaryError {}
-
-/// The artifact a static analysis hands to its consumers: a footprint
-/// proven for a specific machine geometry, plus the analyzer's ATT
-/// occupancy bound and per-bank access counts.
-///
-/// Armed on a machine ([`crate::machine::CfmMachine::arm_summary`]), it
-/// lets the single-slot planner skip the per-op ATT hazard probe for
-/// statically safe offsets and run whole proven windows. The machine
-/// keeps itself sound against callers that diverge from the summary:
-/// any issued operation the footprint does not declare disarms it, and
-/// installing a fault plan (or any seeded fault hook) disarms it too.
+/// The analyzer's artifact: a footprint proven for a specific machine
+/// geometry, plus the analyzer's ATT occupancy bound and per-bank access
+/// counts. `cfm-verify analyze` builds one per analyzable program and
+/// reports from it (ATT capacity, bank balance, how many accesses are
+/// statically safe). It is a report, not an engine input: the machine
+/// proves its windows at runtime whatever program runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HazardSummary {
     processors: usize,
@@ -809,17 +758,6 @@ impl HazardSummary {
     #[inline]
     pub fn plan_safe(&self, offset: BlockOffset, p: ProcId) -> bool {
         self.footprint.plan_safe(offset, p)
-    }
-
-    /// See [`Footprint::declares`].
-    #[inline]
-    pub fn declares(
-        &self,
-        p: ProcId,
-        writes: bool,
-        offset: BlockOffset,
-    ) -> Result<bool, FootprintError> {
-        self.footprint.declares(p, writes, offset)
     }
 }
 

@@ -221,27 +221,6 @@ pub enum TraceEvent {
         /// if the bank was masked.
         new_phys: Option<usize>,
     },
-    /// A statically proven [`crate::spec::HazardSummary`] was armed:
-    /// from here the single-slot planner may skip dynamic hazard probes
-    /// for proven-safe offsets and dispatch whole proven windows.
-    SummaryArmed {
-        /// Arming slot.
-        slot: Cycle,
-        /// Processor count the summary was proven for.
-        processors: usize,
-        /// Block count the summary was proven for.
-        offsets: usize,
-    },
-    /// An armed summary was dropped and the machine fell back to the
-    /// fully dynamic hazard scan. Disarms used to be silent counter
-    /// changes; the reason makes proof-carrying disengagement auditable
-    /// from the trace.
-    SummaryDisarmed {
-        /// Disarming slot.
-        slot: Cycle,
-        /// Why the proof no longer covers the execution.
-        reason: DisarmReason,
-    },
     /// An operation left the memory system.
     Complete {
         /// Slot the completion was delivered.
@@ -283,58 +262,7 @@ impl TraceEvent {
             | TraceEvent::Fault { slot, .. }
             | TraceEvent::FaultRetry { slot, .. }
             | TraceEvent::BankRemap { slot, .. }
-            | TraceEvent::SummaryArmed { slot, .. }
-            | TraceEvent::SummaryDisarmed { slot, .. }
             | TraceEvent::Complete { slot, .. } => *slot,
-        }
-    }
-
-    /// Whether this is a summary lifecycle event
-    /// ([`TraceEvent::SummaryArmed`] / [`TraceEvent::SummaryDisarmed`]).
-    /// These audit the *proof* machinery, not the execution: a
-    /// summary-armed run and its dynamic-scan twin are byte-identical in
-    /// every other event, so equivalence checks filter on this.
-    pub fn is_summary_lifecycle(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::SummaryArmed { .. } | TraceEvent::SummaryDisarmed { .. }
-        )
-    }
-}
-
-/// Why an armed [`crate::spec::HazardSummary`] was dropped — carried by
-/// [`TraceEvent::SummaryDisarmed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DisarmReason {
-    /// An issued operation fell outside the proven footprint (or past
-    /// its offset domain): the proof no longer covers the stream.
-    UndeclaredIssue {
-        /// Issuing processor.
-        proc: ProcId,
-        /// The undeclared offset.
-        offset: BlockOffset,
-        /// Whether the undeclared access runs a write phase.
-        writes: bool,
-    },
-    /// A fault plan was installed — faults perturb accesses in ways no
-    /// static proof covers.
-    FaultPlan,
-    /// A seeded fault hook (bank alias, retry suppression, remap copy
-    /// skip, ATT insert drop) was armed.
-    SeededFault,
-    /// The driver explicitly called
-    /// [`crate::machine::CfmMachine::disarm_summary`].
-    Explicit,
-}
-
-impl DisarmReason {
-    /// Stable short label for reports and trace summaries.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DisarmReason::UndeclaredIssue { .. } => "undeclared-issue",
-            DisarmReason::FaultPlan => "fault-plan",
-            DisarmReason::SeededFault => "seeded-fault",
-            DisarmReason::Explicit => "explicit",
         }
     }
 }

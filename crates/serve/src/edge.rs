@@ -40,6 +40,12 @@
 //!   `Reject` frame — the wire surface and the in-process surface are
 //!   the same typed enum.
 //!
+//! A client that stops reading its responses is paused, not buffered
+//! for: while a connection holds more than [`WRITE_BUFFER_CAP`]
+//! unflushed bytes, the edge neither reads nor dispatches its frames
+//! until the socket drains ([`EdgeStats::write_pauses`] counts each
+//! pause). The kernel's socket buffers then push back on the client.
+//!
 //! ## Drain handshake
 //!
 //! A client that is done sends [`Frame::Drain`]. The edge stops
@@ -65,6 +71,11 @@ use crate::wire::{self, Decoder, Frame, PROTOCOL_VERSION};
 /// its direction or state (e.g. a client sending `Welcome`). Codes ≥ 1
 /// are [`crate::WireError::code`]s.
 pub const ERR_PROTOCOL_VIOLATION: u16 = 0;
+
+/// Unflushed response bytes past which a connection's input is paused.
+/// A connection's write buffer stays below this plus one frame and its
+/// in-flight responses.
+pub const WRITE_BUFFER_CAP: usize = 256 * 1024;
 
 /// Tuning for one edge listener.
 #[derive(Debug, Clone)]
@@ -103,6 +114,7 @@ struct StatsInner {
     rejects: AtomicU64,
     wire_errors: AtomicU64,
     drained_connections: AtomicU64,
+    write_pauses: AtomicU64,
 }
 
 /// A point-in-time snapshot of the edge counters (all monotonic except
@@ -127,6 +139,9 @@ pub struct EdgeStats {
     pub wire_errors: u64,
     /// Connections that completed the drain handshake.
     pub drained_connections: u64,
+    /// Times a connection's input was paused because its unflushed
+    /// output passed [`WRITE_BUFFER_CAP`].
+    pub write_pauses: u64,
 }
 
 /// Handle to a running edge thread: address, counters, shutdown.
@@ -155,6 +170,7 @@ impl EdgeHandle {
             rejects: self.stats.rejects.load(Ordering::Relaxed),
             wire_errors: self.stats.wire_errors.load(Ordering::Relaxed),
             drained_connections: self.stats.drained_connections.load(Ordering::Relaxed),
+            write_pauses: self.stats.write_pauses.load(Ordering::Relaxed),
         }
     }
 
@@ -192,6 +208,9 @@ struct Conn {
     sent_drained: bool,
     close_after_flush: bool,
     dead: bool,
+    /// Input paused until the write buffer drains below
+    /// [`WRITE_BUFFER_CAP`].
+    paused: bool,
 }
 
 impl Conn {
@@ -206,11 +225,16 @@ impl Conn {
             sent_drained: false,
             close_after_flush: false,
             dead: false,
+            paused: false,
         }
     }
 
     fn queue(&mut self, frame: &Frame) {
         wire::encode_into(frame, &mut self.wbuf);
+    }
+
+    fn over_write_cap(&self) -> bool {
+        self.wbuf.len() - self.wpos > WRITE_BUFFER_CAP
     }
 }
 
@@ -309,18 +333,26 @@ fn run_edge(
 
         // 2–4. Read, dispatch, poll tickets, flush — per connection.
         for conn in conns.iter_mut() {
-            read_into(conn, &mut scratch, &mut progress);
-            dispatch_frames(
-                conn,
-                service,
-                config,
-                stats,
-                &welcome,
-                &mut inflight_total,
-                processors,
-                bank_cycle,
-                &mut progress,
-            );
+            if conn.over_write_cap() {
+                if !conn.paused {
+                    conn.paused = true;
+                    stats.write_pauses.fetch_add(1, Ordering::Relaxed);
+                }
+            } else {
+                conn.paused = false;
+                read_into(conn, &mut scratch, &mut progress);
+                dispatch_frames(
+                    conn,
+                    service,
+                    config,
+                    stats,
+                    &welcome,
+                    &mut inflight_total,
+                    processors,
+                    bank_cycle,
+                    &mut progress,
+                );
+            }
             poll_tickets(conn, stats, &mut inflight_total, &mut progress);
             if conn.draining && !conn.sent_drained && conn.pending.is_empty() {
                 conn.queue(&Frame::Drained);
@@ -404,7 +436,7 @@ fn dispatch_frames(
     bank_cycle: u64,
     progress: &mut bool,
 ) {
-    while !conn.dead && !conn.close_after_flush {
+    while !conn.dead && !conn.close_after_flush && !conn.over_write_cap() {
         let frame = match conn.dec.next_frame() {
             Ok(None) => break,
             Ok(Some(frame)) => frame,
@@ -762,6 +794,59 @@ mod tests {
         let stats = edge.shutdown();
         assert_eq!(stats.shed_connections, 1);
         assert_eq!(stats.active, 0);
+    }
+
+    #[test]
+    fn unread_responses_pause_the_connection() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Instant;
+
+        let service = small_service();
+        let edge = service.serve_edge(EdgeConfig::default()).unwrap();
+        let mut client = Client::connect(edge.addr());
+        // The writer pipelines MetricsRequest frames, nothing reads a
+        // byte until the edge reports a pause — by then the responses
+        // fill the kernel socket buffers in both directions plus the
+        // cap — then it finishes its batch and asks to drain. Pacing
+        // the batches keeps the writer from running far ahead of the
+        // edge through the (large) socket buffers.
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut writer = client.stream.try_clone().unwrap();
+        let writer = thread::spawn({
+            let stop = Arc::clone(&stop);
+            move || {
+                let batch: Vec<u8> = (0..64)
+                    .flat_map(|_| wire::encode(&Frame::MetricsRequest))
+                    .collect();
+                let mut sent = 0u64;
+                while !stop.load(Ordering::Acquire) && sent < 1 << 17 {
+                    writer.write_all(&batch).unwrap();
+                    sent += 64;
+                    thread::sleep(Duration::from_millis(1));
+                }
+                writer.write_all(&wire::encode(&Frame::Drain)).unwrap();
+                sent
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while edge.stats().write_pauses == 0 {
+            assert!(Instant::now() < deadline, "the edge never paused");
+            thread::sleep(Duration::from_millis(1));
+        }
+        stop.store(true, Ordering::Release);
+        let mut metrics = 0u64;
+        loop {
+            match client.recv() {
+                Some(Frame::Metrics { .. }) => metrics += 1,
+                Some(Frame::Drained) => break,
+                other => panic!("expected Metrics or Drained, got {other:?}"),
+            }
+        }
+        assert_eq!(client.recv(), None, "closed after Drained");
+        assert_eq!(metrics, writer.join().unwrap(), "one Metrics per request");
+        let stats = edge.shutdown();
+        assert!(stats.write_pauses >= 1);
+        assert_eq!(stats.drained_connections, 1);
     }
 
     #[test]

@@ -19,12 +19,11 @@
 //! * **per-bank access-count footprints** (the static bandwidth
 //!   shape).
 //!
-//! The proof is packaged as a [`HazardSummary`] and handed to its two
-//! consumers, both exercised here end to end: the windowed engine's
-//! planner ([`cfm_core::machine::CfmMachine::arm_summary`]) skips the
-//! dynamic per-slot hazard probe for statically safe offsets and
-//! dispatches whole proven windows per worker handoff, byte-identical
-//! to the sequential engine; and `cfm-serve` admission
+//! The proof is packaged as a [`HazardSummary`], the analyzer's report.
+//! Two checks tie it to what runs, both exercised here end to end: a
+//! summarized program, run on the windowed engine, runs in windows the
+//! machine's own runtime hazard scan proves, byte-identical to the
+//! sequential engine; and `cfm-serve` admission
 //! ([`cfm_serve::service::Footprints::admit`]) rejects tenant programs
 //! whose static [`Footprint`] conflicts with an admitted tenant's,
 //! with a typed [`cfm_serve::Reject::StaticConflict`] witness.
@@ -35,8 +34,8 @@
 //! machine and demands the happens-before detector agree; programs the
 //! analyzer flags may still execute cleanly (the ATT arbitrates them),
 //! which is exactly the "strictly more conservative" contract.
-//! Data-dependent offsets are never summarized — those programs fall
-//! back to the machine's dynamic hazard scan (see
+//! Data-dependent offsets are never summarized; the machine runs those
+//! programs under the same runtime hazard scan as any other (see
 //! `docs/static-analysis.md`).
 
 pub mod infer;
@@ -291,23 +290,20 @@ pub(crate) struct DynRun {
 
 /// Drive `spec` to completion on a real machine (issue each round
 /// while idle, run to idle, repeat) and snapshot everything
-/// observable. `summary` is armed before the first issue.
+/// observable, plus the machine's proven-window counters
+/// (`dynamic_slots`, `dynamic_windows`).
 pub(crate) fn run_spec(
     spec: &ProgramSpec,
     n: usize,
     c: u32,
     offsets: usize,
     engine: Engine,
-    summary: Option<HazardSummary>,
 ) -> Result<(DynRun, u64, u64), String> {
     let cfg = CfmConfig::new(n, c, 16)
         .map_err(|e| format!("config: {e:?}"))?
         .with_engine(engine);
     let banks = cfg.banks();
     let mut m = CfmMachine::builder(cfg).offsets(offsets).build();
-    if let Some(s) = summary {
-        m.arm_summary(s).map_err(|e| format!("arm: {e}"))?;
-    }
     let mut scripts: Vec<VecDeque<_>> = (0..n)
         .map(|p| spec.instantiate(p, banks, offsets).into())
         .collect();
@@ -330,8 +326,8 @@ pub(crate) fn run_spec(
             memory,
             cycles: m.cycle(),
         },
-        m.static_slots(),
-        m.static_windows(),
+        m.dynamic_slots(),
+        m.dynamic_windows(),
     ))
 }
 
@@ -593,56 +589,49 @@ fn lock_order_check(offsets: usize) -> Check {
     .with_metric("edges", g.edge_count() as u64)
 }
 
-/// Arm the proven summary on a windowed machine and demand byte
-/// identity with the sequential engine — while the planner provably
-/// skips work (static windows dispatched).
+/// Check the analyzer against the runtime scan: a program the analyzer
+/// proves conflict-free must, on the windowed engine, run in windows
+/// the machine's own hazard scan proves — byte-identical to the
+/// sequential engine.
 fn summary_engine_check(n: usize, c: u32, offsets: usize) -> Check {
     let subj = format!("{} prog=disjoint-sweep", subject(n, c));
     let spec = &standard_programs(n)[0];
-    let summary = match summarize(spec, n, c, offsets) {
-        Ok(s) => s,
-        Err(e) => {
-            return Check::fail(
-                "analyze/summary-engine",
-                &subj,
-                "the summary program failed to summarize",
-                vec![e],
-            )
+    if let Err(e) = summarize(spec, n, c, offsets) {
+        return Check::fail(
+            "analyze/summary-engine",
+            &subj,
+            "the summary program failed to summarize",
+            vec![e],
+        );
+    }
+    let (seq, win) = match (
+        run_spec(spec, n, c, offsets, Engine::Sequential),
+        run_spec(spec, n, c, offsets, Engine::Windowed),
+    ) {
+        (Ok((seq, _, _)), Ok(win)) => (seq, win),
+        (Err(e), _) | (_, Err(e)) => {
+            return Check::fail("analyze/summary-engine", &subj, "a run failed", vec![e])
         }
     };
-    let runs = [
-        run_spec(spec, n, c, offsets, Engine::Sequential, None),
-        run_spec(spec, n, c, offsets, Engine::Windowed, None),
-        run_spec(spec, n, c, offsets, Engine::Windowed, Some(summary)),
-    ];
-    let mut results = Vec::new();
-    for r in runs {
-        match r {
-            Ok(v) => results.push(v),
-            Err(e) => return Check::fail("analyze/summary-engine", &subj, "a run failed", vec![e]),
-        }
-    }
-    let (seq, _, _) = &results[0];
-    let (par, _, _) = &results[1];
-    let (sum, static_slots, static_windows) = &results[2];
-    if seq != par || seq != sum {
+    let (win, dynamic_slots, dynamic_windows) = win;
+    if seq != win {
         return Check::fail(
             "analyze/summary-engine",
             &subj,
             "engines diverged (stats, completions or memory differ)",
             vec![
                 format!("sequential stats: {:?}", seq.stats),
-                format!("summary-armed stats: {:?}", sum.stats),
+                format!("windowed stats: {:?}", win.stats),
             ],
         );
     }
-    if *static_slots == 0 || *static_windows == 0 {
+    if dynamic_slots == 0 || dynamic_windows == 0 {
         return Check::fail(
             "analyze/summary-engine",
             &subj,
-            "no statically-proven window was dispatched — the summary is vacuous",
+            "no proven window was dispatched for an analyzer-proven program",
             vec![format!(
-                "static_slots={static_slots} static_windows={static_windows}"
+                "dynamic_slots={dynamic_slots} dynamic_windows={dynamic_windows}"
             )],
         );
     }
@@ -650,20 +639,19 @@ fn summary_engine_check(n: usize, c: u32, offsets: usize) -> Check {
         "analyze/summary-engine",
         &subj,
         format!(
-            "byte-identical to sequential; {static_slots} slots in {static_windows} \
-             statically-proven windows skipped the dynamic hazard scan"
+            "byte-identical to sequential; {dynamic_slots} slots in {dynamic_windows} \
+             windows proven by the runtime hazard scan"
         ),
     )
-    .with_metric("static_slots", *static_slots)
-    .with_metric("static_windows", *static_windows)
+    .with_metric("dynamic_slots", dynamic_slots)
+    .with_metric("dynamic_windows", dynamic_windows)
     .with_metric("cycles", seq.cycles)
 }
 
-/// Predicted static dispatch fraction for one `(n, c)` configuration:
-/// of every op instance the standard suite issues, how many would the
-/// armed planner dispatch without a dynamic hazard probe
-/// (`plan_safe`)? Reported in milli (0‥1000) per program and overall —
-/// the CI-visible forecast of how much scanning the proofs remove.
+/// Static safety fraction for one `(n, c)` configuration: of every op
+/// instance the standard suite issues, how many touch an offset the
+/// summary proves statically safe (`plan_safe`: no other processor
+/// writes it)? Reported in milli (0‥1000) per program and overall.
 fn static_fraction_check(n: usize, c: u32, offsets: usize) -> Check {
     let subj = subject(n, c);
     let mut total = 0u64;
@@ -689,7 +677,7 @@ fn static_fraction_check(n: usize, c: u32, offsets: usize) -> Check {
             return Check::fail(
                 "analyze/static-fraction",
                 &subj,
-                "the fully disjoint program is not fully statically dispatchable",
+                "the fully disjoint program is not fully statically safe",
                 vec![format!("disjoint-sweep: {milli}/1000")],
             );
         }
@@ -700,7 +688,7 @@ fn static_fraction_check(n: usize, c: u32, offsets: usize) -> Check {
     }
     let overall = (safe * 1000).checked_div(total).unwrap_or(0);
     check.detail = format!(
-        "predicted static dispatch: {overall}/1000 of {total} op instances ({})",
+        "statically safe: {overall}/1000 of {total} op instances ({})",
         lines.join(", ")
     );
     check
@@ -1004,8 +992,9 @@ pub fn verify(spec: &AnalyzeSpec, self_test: bool) -> Vec<Check> {
         checks.push(summary_engine_check(n, c, spec.offsets));
     }
     // Past the old 64-processor bitmask ceiling: the symbolic footprint
-    // domain must still prove, arm, and window-dispatch at n = 256
-    // (offsets scaled with n so the disjoint program stays disjoint).
+    // domain must still prove, and the machine window-dispatch, at
+    // n = 256 (offsets scaled with n so the disjoint program stays
+    // disjoint).
     checks.push(summary_engine_check(256, 1, 256));
     checks.push(static_fraction_check(256, 1, 256));
     checks.push(differential_check(4, 1, spec.offsets));

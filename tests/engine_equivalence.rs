@@ -14,7 +14,7 @@ use conflict_free_memory::core::fault::{FaultKind, FaultPlan, PlanParams};
 use conflict_free_memory::core::machine::CfmMachine;
 use conflict_free_memory::core::op::{Completion, Operation};
 use conflict_free_memory::core::snapshot::MachineSnapshot;
-use conflict_free_memory::core::spec::{HazardSummary, OffsetExpr, OpPattern, OpSpec, ProgramSpec};
+use conflict_free_memory::core::spec::{OffsetExpr, OpPattern, OpSpec, ProgramSpec};
 use conflict_free_memory::core::stats::Stats;
 use conflict_free_memory::core::trace::TraceEvent;
 use proptest::prelude::*;
@@ -127,16 +127,14 @@ fn decode_program(n: usize, rounds: usize, words: &[u64], offsets: usize) -> Pro
     spec
 }
 
-/// Drive one machine through an instantiated program spec, arming
-/// `summary` on the fresh machine first and installing the fault plan
-/// (which disarms any summary — faults void static proofs) after.
+/// Drive one machine through an instantiated program spec, under an
+/// optional generated fault plan.
 fn drive_spec(
     engine: Engine,
     n: usize,
     c: u32,
     offsets: usize,
     spec: &ProgramSpec,
-    summary: Option<HazardSummary>,
     fault_seed: Option<u64>,
 ) -> (Vec<Completion>, Stats, Vec<TraceEvent>) {
     let cfg = CfmConfig::new(n, c, 16)
@@ -149,10 +147,6 @@ fn drive_spec(
         .offsets(offsets)
         .trace(true)
         .build();
-    if let Some(s) = summary {
-        m.arm_summary(s)
-            .expect("fresh idle machine accepts the summary");
-    }
     if let Some(seed) = fault_seed {
         m.injector().fault_plan(FaultPlan::generate(
             seed,
@@ -190,12 +184,11 @@ fn drive_spec(
 }
 
 proptest! {
-    /// A statically proven hazard summary armed on the windowed engine
-    /// must not change a single observable byte relative to the
-    /// sequential engine — and when a fault plan is installed, the
-    /// machine silently voids the summary and the identity must still
-    /// hold through the dynamic fallback. `fault_sel` past the seed
-    /// range means "no fault plan".
+    /// A program the analyzer proves (a summary exists) runs on the
+    /// windowed engine — under the machine's runtime hazard scan, with
+    /// or without a fault plan — byte-identical to the sequential
+    /// engine, full trace included. `fault_sel` past the seed range
+    /// means "no fault plan".
     #[test]
     fn summary_armed_engine_is_equivalent_to_sequential(
         n in 2usize..7,
@@ -205,29 +198,16 @@ proptest! {
         fault_sel in 0u64..2_000,
     ) {
         let spec = decode_program(n, rounds, &words, 8);
-        let summary = match summarize(&spec, n, c, 8) {
-            Ok(s) => s,
+        if summarize(&spec, n, c, 8).is_err() {
             // Unsummarizable programs are the existing property's domain.
-            Err(_) => return Ok(()),
-        };
+            return Ok(());
+        }
         let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
-        let seq = drive_spec(Engine::Sequential, n, c, 8, &spec, None, fault_seed);
-        let par = drive_spec(Engine::Windowed, n, c, 8, &spec, Some(summary), fault_seed);
+        let seq = drive_spec(Engine::Sequential, n, c, 8, &spec, fault_seed);
+        let par = drive_spec(Engine::Windowed, n, c, 8, &spec, fault_seed);
         prop_assert_eq!(&seq.0, &par.0, "completions diverged");
         prop_assert_eq!(&seq.1, &par.1, "stats diverged");
-        // SummaryArmed/SummaryDisarmed audit the proof machinery and by
-        // design appear only on the armed run — the *execution* events
-        // (every issue, route, access, completion) must still match
-        // byte-for-byte, so compare the traces with the summary
-        // lifecycle filtered out.
-        let strip = |events: &[TraceEvent]| {
-            events
-                .iter()
-                .filter(|e| !e.is_summary_lifecycle())
-                .cloned()
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(strip(&seq.2), strip(&par.2), "traces diverged");
+        prop_assert_eq!(&seq.2, &par.2, "traces diverged");
     }
 }
 
@@ -328,8 +308,8 @@ fn drive_windowed(
 
 proptest! {
     /// Random `(n, c, window-size cap, program, fault plan)` →
-    /// the dynamic-window path (no summary armed: every window is
-    /// proven by the runtime hazard scan) must be byte-identical to the
+    /// the window path (every window proven by the runtime hazard scan)
+    /// must be byte-identical to the
     /// sequential engine — completions, stats, the full memory image
     /// and the trace digest — through a mid-run snapshot/restore
     /// round-trip. `fault_sel` past the seed range means "no fault
@@ -409,9 +389,9 @@ enum Mode {
     /// disjoint within a round, not expressible as a static footprint,
     /// so windows are proven by the runtime hazard scan.
     Disjoint,
-    /// Processor `p` works on block `p` under an armed hazard summary,
-    /// so windows are statically proven.
-    Summary,
+    /// Processor `p` works on block `p` — the shape the analyzer proves
+    /// statically; the runtime hazard scan proves its windows too.
+    OwnBlock,
 }
 
 /// A fault [`drive_default`] installs on logical bank `bank` (taken
@@ -430,13 +410,13 @@ enum Fault {
 
 /// Everything [`drive_default`] observes: completions, stats, the memory
 /// image, the trace (empty when untraced), and the
-/// `(dynamic_slots, static_slots, parallel_slots)` kernel counters.
+/// `(dynamic_slots, parallel_slots)` kernel counters.
 type DefaultRun = (
     Vec<Completion>,
     Stats,
     Vec<Vec<u64>>,
     Vec<TraceEvent>,
-    (u64, u64, u64),
+    (u64, u64),
 );
 
 /// Drive a machine built from the *default* configuration (`reference =
@@ -479,26 +459,6 @@ fn drive_default(
         builder = builder.fault_plan(FaultPlan::single(at, kind));
     }
     let mut m = builder.build();
-    if mode == Mode::Summary && fault.is_none() {
-        let spec = ProgramSpec::uniform(
-            "own-block",
-            n,
-            1,
-            vec![
-                OpSpec::new(
-                    OpPattern::Write,
-                    OffsetExpr::ProcLinear { base: 0, stride: 1 },
-                ),
-                OpSpec::new(
-                    OpPattern::Read,
-                    OffsetExpr::ProcLinear { base: 0, stride: 1 },
-                ),
-            ],
-        );
-        let summary = summarize(&spec, n, c, offsets).expect("own-block program is provable");
-        m.arm_summary(summary)
-            .expect("fresh idle machine accepts the summary");
-    }
     let mut completions = Vec::new();
     for (i, &word) in script.iter().enumerate() {
         let p = i % n;
@@ -508,7 +468,7 @@ fn drive_default(
         let offset = match mode {
             Mode::Random => (word >> 8) as usize % offsets,
             Mode::Disjoint => (p + i / n) % offsets,
-            Mode::Summary => p,
+            Mode::OwnBlock => p,
         };
         let val = word >> 16;
         let op = match word % 4 {
@@ -529,7 +489,7 @@ fn drive_default(
         *m.stats(),
         memory,
         events,
-        (m.dynamic_slots(), m.static_slots(), m.parallel_slots()),
+        (m.dynamic_slots(), m.parallel_slots()),
     )
 }
 
@@ -541,9 +501,9 @@ proptest! {
     /// read phase to their write phase inside windows; a permanent
     /// failure masks a bank (no spare) or remaps it onto a spare for the
     /// windows after it, and windows resume once a transient error is
-    /// repaired. The disjoint and summary families must actually run
-    /// windows, so the property cannot pass by never reaching the fused
-    /// kernel.
+    /// repaired. The disjoint and own-block families must actually run
+    /// windows when fault-free, so the property cannot pass by never
+    /// reaching the fused kernel.
     #[test]
     fn default_engine_is_equivalent_to_sequential(
         n in 3usize..6,
@@ -555,10 +515,10 @@ proptest! {
         script in proptest::collection::vec(0u64..u64::MAX, 1..40),
     ) {
         let c = [1, 2, 4][c_sel];
-        let mode = [Mode::Random, Mode::Disjoint, Mode::Summary][mode_sel];
+        let mode = [Mode::Random, Mode::Disjoint, Mode::OwnBlock][mode_sel];
         let traced = traced == 1;
         // Half the cases install a fault early in the run.
-        let fault = (fault_sel < 32 && mode != Mode::Summary).then(|| {
+        let fault = (fault_sel < 32).then(|| {
             let f = [Fault::Mask, Fault::Remap, Fault::Transient][fault_sel % 3](fault_sel);
             (fault_sel as u64, f)
         });
@@ -568,7 +528,7 @@ proptest! {
         prop_assert_eq!(&seq.1, &def.1, "stats diverged");
         prop_assert_eq!(&seq.2, &def.2, "memory diverged");
         prop_assert_eq!(&seq.3, &def.3, "traces diverged");
-        prop_assert_eq!(seq.4, (0, 0, 0), "the reference engine takes no windows");
+        prop_assert_eq!(seq.4, (0, 0), "the reference engine takes no windows");
         if let Some((at, f)) = fault {
             let fired = match f {
                 Fault::Mask(_) => seq.1.banks_masked,
@@ -577,23 +537,19 @@ proptest! {
             };
             prop_assert!(fired == 1 || seq.1.cycles <= at);
         }
-        match mode {
-            Mode::Disjoint if fault.is_none() => {
-                prop_assert!(def.4 .0 > 0, "disjoint run took no dynamic window");
-            }
-            Mode::Summary => prop_assert!(def.4 .1 > 0, "summary run took no static window"),
-            _ => {}
+        if mode != Mode::Random && fault.is_none() {
+            prop_assert!(def.4 .0 > 0, "{:?} run took no window", mode);
         }
         // Windows stop before every final access, so the fused kernel
         // must also have run proven single slots — the path that makes
         // the drain transition.
-        let (dynamic, fixed, kernel) = def.4;
+        let (dynamic, kernel) = def.4;
         prop_assert!(
-            kernel > dynamic + fixed,
+            kernel > dynamic,
             "{:?}: no proven single slot ran ({} kernel slots, {} in windows)",
             mode,
             kernel,
-            dynamic + fixed
+            dynamic
         );
     }
 }

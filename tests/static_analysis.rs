@@ -7,8 +7,9 @@
 //! * A refutation witness must be *concrete*: replaying exactly the two
 //!   operations it names on a real machine reproduces the collision as
 //!   an address-table merge on the witnessed block.
-//! * A program the analyzer can summarize must run byte-identically on
-//!   the summary-armed windowed engine.
+//! * A program the analyzer can summarize must run in windows the
+//!   machine's runtime hazard scan proves (byte identity with the
+//!   sequential engine is `engine_equivalence.rs`'s property).
 //!
 //! Programs are decoded from sampled words (the same idiom as
 //! `engine_equivalence.rs`): each word packs one op spec — two bits of
@@ -20,7 +21,7 @@ use cfm_verify::trace::hb;
 use conflict_free_memory::core::config::{CfmConfig, Engine};
 use conflict_free_memory::core::machine::CfmMachine;
 use conflict_free_memory::core::op::Completion;
-use conflict_free_memory::core::spec::{HazardSummary, OffsetExpr, OpPattern, OpSpec, ProgramSpec};
+use conflict_free_memory::core::spec::{OffsetExpr, OpPattern, OpSpec, ProgramSpec};
 use conflict_free_memory::core::stats::Stats;
 use conflict_free_memory::core::trace::TraceEvent;
 use conflict_free_memory::core::Word;
@@ -58,15 +59,14 @@ fn decode_program(n: usize, rounds: usize, words: &[u64]) -> ProgramSpec {
     spec
 }
 
-/// Drive `spec` to completion on a machine with the given engine,
-/// arming `summary` first when provided. Uses `run()` (not `step()`)
-/// so the planner's window dispatch can engage.
+/// Drive `spec` to completion on a machine with the given engine. Uses
+/// `run()` (not `step()`) so window dispatch can engage; the last field
+/// is the machine's proven-window slot count.
 fn execute(
     spec: &ProgramSpec,
     n: usize,
     c: u32,
     engine: Engine,
-    summary: Option<HazardSummary>,
     trace: bool,
 ) -> (Vec<Completion>, Stats, Vec<Vec<Word>>, Vec<TraceEvent>, u64) {
     let cfg = CfmConfig::new(n, c, 16).unwrap().with_engine(engine);
@@ -75,10 +75,6 @@ fn execute(
         .offsets(OFFSETS)
         .trace(trace)
         .build();
-    if let Some(s) = summary {
-        m.arm_summary(s)
-            .expect("fresh idle machine accepts the summary");
-    }
     let mut scripts: Vec<std::collections::VecDeque<_>> = (0..n)
         .map(|p| spec.instantiate(p, banks, OFFSETS).into())
         .collect();
@@ -94,13 +90,13 @@ fn execute(
         completions.extend(m.run(200_000).expect_idle());
     }
     let memory = (0..OFFSETS).map(|o| m.peek_block(o)).collect();
-    let static_slots = m.static_slots();
+    let window_slots = m.dynamic_slots();
     let events = if trace {
         m.take_trace().unwrap().into_events()
     } else {
         Vec::new()
     };
-    (completions, *m.stats(), memory, events, static_slots)
+    (completions, *m.stats(), memory, events, window_slots)
 }
 
 proptest! {
@@ -120,7 +116,7 @@ proptest! {
         prop_assert!(spec.analyzable());
         let statically_racy = program_conflict(&spec, OFFSETS).is_some();
         let (_, stats, _, events, _) =
-            execute(&spec, n, c, Engine::Sequential, None, true);
+            execute(&spec, n, c, Engine::Sequential, true);
         prop_assert_eq!(stats.bank_conflicts, 0, "valid geometry must never conflict");
         let races = hb::find_races(&hb::analyze(&events));
         if !statically_racy {
@@ -187,26 +183,6 @@ proptest! {
         );
     }
 
-    /// Summarizable ⇒ the summary-armed windowed engine is
-    /// byte-identical to the sequential engine (completions, stats,
-    /// memory).
-    #[test]
-    fn armed_summary_preserves_byte_identity(
-        n in 2usize..6,
-        c in 1u32..3,
-        rounds in 1usize..3,
-        words in proptest::collection::vec(0u64..u64::MAX, 2..16),
-    ) {
-        let spec = decode_program(n, rounds, &words);
-        let Ok(summary) = summarize(&spec, n, c, OFFSETS) else {
-            return Ok(());
-        };
-        let seq = execute(&spec, n, c, Engine::Sequential, None, false);
-        let armed = execute(&spec, n, c, Engine::Windowed, Some(summary), false);
-        prop_assert_eq!(&seq.0, &armed.0, "completions diverged");
-        prop_assert_eq!(&seq.1, &armed.1, "stats diverged");
-        prop_assert_eq!(&seq.2, &armed.2, "memory diverged");
-    }
 }
 
 /// The legacy `u64`-bitmask footprint semantics, reimplemented locally
@@ -364,20 +340,20 @@ proptest! {
     }
 }
 
-/// The disjoint sweep at (4, 1) must actually engage window dispatch:
-/// the non-vacuousness anchor for every property above.
+/// The disjoint sweep at (4, 1), which the analyzer proves, must also
+/// run in windows the runtime hazard scan proves: the non-vacuousness
+/// anchor for every property above.
 #[test]
 fn proven_window_dispatch_is_not_vacuous() {
     let spec = standard_programs(4)
         .into_iter()
         .find(|s| s.name == "disjoint-sweep")
         .unwrap();
-    let summary = summarize(&spec, 4, 1, OFFSETS).expect("disjoint sweep is provable");
-    let (_, stats, _, _, static_slots) =
-        execute(&spec, 4, 1, Engine::Windowed, Some(summary), false);
+    summarize(&spec, 4, 1, OFFSETS).expect("disjoint sweep is provable");
+    let (_, stats, _, _, window_slots) = execute(&spec, 4, 1, Engine::Windowed, false);
     assert_eq!(stats.bank_conflicts, 0);
     assert!(
-        static_slots > 0,
-        "no statically-proven slots dispatched — the planner integration is dead"
+        window_slots > 0,
+        "no proven window dispatched for an analyzer-proven program"
     );
 }
