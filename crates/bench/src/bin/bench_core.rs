@@ -2,10 +2,11 @@
 //!
 //! Soaks a steady disjoint-block workload (every processor continuously
 //! re-issuing reads/writes of its own block — the conflict-free case the
-//! windowed engine proves once per window) on a grid of machine shapes ×
-//! engines × variants (plain / traced / faulted / dynamic-window), and
-//! records simulated slots per wall-clock second
-//! into `BENCH_core.json`.
+//! windowed engine proves once per window) and a contended one (half the
+//! processors on four hot blocks) on a grid of machine shapes × engines
+//! × variants (plain / traced / faulted / dynamic-window / hot-block),
+//! and records simulated slots per wall-clock second into
+//! `BENCH_core.json`.
 //!
 //! The report includes `host_cpus` *and* `host_free_cores` (detected
 //! from the 1-minute load average) so a reader can tell a loaded host's
@@ -20,11 +21,14 @@ use std::time::Instant;
 use cfm_bench::print_table;
 use cfm_core::config::{CfmConfig, Engine};
 use cfm_core::fault::{FaultPlan, PlanParams};
-use cfm_core::machine::{CfmMachine, WindowRefusals};
+use cfm_core::machine::{AccessFallbacks, CfmMachine, WindowRefusals};
 use cfm_core::op::Operation;
 
 const WORD_WIDTH: u32 = 16;
 const SPARES: usize = 1;
+
+/// Hot blocks the even processors share on the `hot-block` variant.
+const HOT_BLOCKS: usize = 4;
 
 /// Machine shapes exercised: small / medium / large (single-cluster).
 const SHAPES: [(usize, u32); 3] = [(16, 1), (64, 1), (256, 1)];
@@ -41,7 +45,11 @@ const ENGINES: [(&str, Engine); 2] = [
 /// disjoint at runtime but *not* expressible as a residue-class
 /// footprint (`NotPeriodic` programs). The runtime hazard scan proves
 /// both shapes; `dynamic_fraction` shows how many slots it covered.
-const VARIANTS: [&str; 4] = ["plain", "traced", "faulted", "dynamic-window"];
+/// `hot-block` makes the even processors write or swap one of
+/// [`HOT_BLOCKS`] shared blocks while the odd ones keep their own: ATT
+/// arbitration runs every slot, so slots mix fused and checked
+/// accesses (`access_fallbacks` says why each access was checked).
+const VARIANTS: [&str; 5] = ["plain", "traced", "faulted", "dynamic-window", "hot-block"];
 
 struct Measured {
     shape: (usize, u32),
@@ -53,6 +61,7 @@ struct Measured {
     dynamic_slots: u64,
     dynamic_windows: u64,
     refusals: WindowRefusals,
+    fallbacks: AccessFallbacks,
 }
 
 struct Counters {
@@ -62,6 +71,7 @@ struct Counters {
     dynamic_slots: u64,
     dynamic_windows: u64,
     refusals: WindowRefusals,
+    fallbacks: AccessFallbacks,
 }
 
 /// Cores actually free right now: logical CPUs minus the 1-minute load
@@ -115,15 +125,24 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
                 // dynamic-window variant, a block rotating every
                 // generation): disjoint offsets, so the windows stay
                 // hazard-free and the engine's batched path engages —
-                // the engine's best case, which is the point of the
-                // comparison.
+                // the engine's best case. On the hot-block variant the
+                // even processors write or swap a hot block (rotating
+                // every generation) and the odd ones keep their own:
+                // the per-slot path's mixed case.
+                let hot = variant == "hot-block" && p.is_multiple_of(2);
                 let offset = if variant == "dynamic-window" {
                     (p + round) % n
+                } else if hot {
+                    (p / 2 + round) % HOT_BLOCKS
+                } else if variant == "hot-block" {
+                    HOT_BLOCKS + p / 2
                 } else {
                     p
                 };
                 let op = if *next {
                     Operation::write(offset, vec![m.cycle() + p as u64; b])
+                } else if hot {
+                    Operation::swap(offset, vec![m.cycle() + p as u64; b])
                 } else {
                     Operation::read(offset)
                 };
@@ -154,6 +173,7 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
         dynamic_slots: m.dynamic_slots(),
         dynamic_windows: m.dynamic_windows(),
         refusals: m.window_refusals(),
+        fallbacks: m.access_fallbacks(),
     }
 }
 
@@ -176,7 +196,9 @@ fn json_report(
          (logical CPUs minus 1-min load average at bench start); both engines run on one \
          thread. dynamic_fraction is the share of slots executed inside windows proven \
          by the runtime hazard scan. window_refusals counts, per reason, the run() steps \
-         that fell back to a single slot instead of a window. See docs/performance.md.\",\n",
+         that fell back to a single slot instead of a window; access_fallbacks counts, \
+         per reason, the single-slot accesses that took the checked path instead of \
+         the fused kernel. See docs/performance.md.\",\n",
     );
     out.push_str("  \"runs\": [\n");
     for (i, m) in measured.iter().enumerate() {
@@ -191,7 +213,9 @@ fn json_report(
              \"slots\": {}, \"wall_time_s\": {:.4}, \"slots_per_s\": {:.0}, \
              \"speedup_vs_seq\": {:.3}, \"parallel_slots\": {}, \"parallel_fraction\": {:.3}, \
              \"dynamic_slots\": {}, \"dynamic_fraction\": {:.3}, \"dynamic_windows\": {}, \
-             \"window_refusals\": {{\"fault\": {}, \"op_busy\": {}, \"short\": {}, \"hazard\": {}}}}}{}\n",
+             \"window_refusals\": {{\"fault\": {}, \"op_busy\": {}, \"short\": {}, \"hazard\": {}}}, \
+             \"access_fallbacks\": {{\"seeded\": {}, \"transient\": {}, \"held\": {}, \
+             \"contended\": {}, \"mixed_slots\": {}}}}}{}\n",
             m.shape.0,
             m.shape.1,
             m.variant,
@@ -209,6 +233,11 @@ fn json_report(
             m.refusals.op_busy,
             m.refusals.short,
             m.refusals.hazard,
+            m.fallbacks.seeded,
+            m.fallbacks.transient,
+            m.fallbacks.held,
+            m.fallbacks.contended,
+            m.fallbacks.mixed_slots,
             if i + 1 == measured.len() { "" } else { "," }
         ));
     }
@@ -248,6 +277,7 @@ fn main() {
                     dynamic_slots: c.dynamic_slots,
                     dynamic_windows: c.dynamic_windows,
                     refusals: c.refusals,
+                    fallbacks: c.fallbacks,
                 });
             }
         }

@@ -105,7 +105,12 @@ impl AtSpace {
     /// [`TraceEvent::Route`] — the schedule-level hook of the trace
     /// layer. Analyses replay these events to re-validate injectivity
     /// and bank busy spacing against the *executed* schedule.
-    pub fn route_traced(&self, slot: Cycle, p: ProcId, sink: &mut dyn TraceSink) -> BankId {
+    pub fn route_traced<S: TraceSink + ?Sized>(
+        &self,
+        slot: Cycle,
+        p: ProcId,
+        sink: &mut S,
+    ) -> BankId {
         let bank = self.bank_for(slot, p);
         sink.record(TraceEvent::Route {
             slot,

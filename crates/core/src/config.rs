@@ -75,8 +75,10 @@ impl std::error::Error for ConfigError {}
 /// uncontended. The windowed engine exploits this: [`CfmMachine::run`]
 /// proves whole runs of slots hazard-free with one scan and executes
 /// each such *window* without a single per-access ATT check, and every
-/// other slot is planned read-only and, when proven, executed through
-/// the same fused access kernel. Traces, stats and
+/// other slot is one pass over the in-flight processors that runs each
+/// access an O(1) probe finds clean through the same fused access
+/// kernel and each hazardous one through the sequential engine's
+/// checked path. Traces, stats and
 /// [`crate::op::Completion`] streams stay byte-identical to the
 /// sequential engine (see `docs/performance.md` for the safety
 /// argument).
@@ -88,9 +90,9 @@ pub enum Engine {
     /// access — the reference stepper and test oracle. Selected
     /// explicitly with [`CfmConfig::with_engine`].
     Sequential,
-    /// The default: proven windows and proven single slots run through
-    /// one fused access kernel on the calling thread; any slot the plan
-    /// cannot prove falls back to the sequential stepper.
+    /// The default: proven windows and every clean single-slot access
+    /// run through one fused access kernel on the calling thread; a
+    /// hazardous access takes the sequential stepper's checked path.
     #[default]
     Windowed,
 }

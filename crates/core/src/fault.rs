@@ -310,6 +310,12 @@ pub struct FaultState {
     /// Activated response faults per processor, consumed FIFO at the
     /// processor's next completion delivery.
     pending_responses: Vec<VecDeque<FaultKind>>,
+    /// The latest repair slot of any latched transient error (0 when
+    /// none): latches only ever grow, so every one is repaired by `now`
+    /// iff this one is — [`Self::is_idle`] in O(1).
+    latest_repair: Cycle,
+    /// Total response faults queued across `pending_responses`.
+    pending_count: usize,
 }
 
 impl FaultState {
@@ -321,6 +327,8 @@ impl FaultState {
             next: 0,
             transient_until: vec![None; banks],
             pending_responses: vec![VecDeque::new(); processors],
+            latest_repair: 0,
+            pending_count: 0,
         }
     }
 
@@ -346,11 +354,13 @@ impl FaultState {
                             Some(existing) => existing.max(repair_slot),
                             None => repair_slot,
                         });
+                        self.latest_repair = self.latest_repair.max(repair_slot);
                     }
                 }
                 FaultKind::DroppedResponse { proc } | FaultKind::CorruptedResponse { proc } => {
                     if let Some(q) = self.pending_responses.get_mut(proc) {
                         q.push_back(ev.kind);
+                        self.pending_count += 1;
                     }
                 }
                 FaultKind::PermanentBankFailure { .. } | FaultKind::StuckSwitch { .. } => {}
@@ -374,7 +384,9 @@ impl FaultState {
     /// Consume the oldest activated response fault targeting `proc`, if
     /// any — called when a completion is about to be delivered.
     pub fn take_response_fault(&mut self, proc: ProcId) -> Option<FaultKind> {
-        self.pending_responses.get_mut(proc)?.pop_front()
+        let kind = self.pending_responses.get_mut(proc)?.pop_front()?;
+        self.pending_count -= 1;
+        Some(kind)
     }
 
     /// The mutable progress of the state, for checkpointing: the next
@@ -395,6 +407,8 @@ impl FaultState {
         FaultState {
             plan,
             next,
+            latest_repair: transient_until.iter().flatten().copied().max().unwrap_or(0),
+            pending_count: pending_responses.iter().map(VecDeque::len).sum(),
             transient_until,
             pending_responses,
         }
@@ -404,14 +418,10 @@ impl FaultState {
     /// un-activated plan events remain, every latched transient error
     /// is repaired by `now` (repair slots are exclusive, and slots only
     /// move forward, so a repaired latch never fires again), and no
-    /// response fault is pending.
+    /// response fault is pending. O(1): reads the cached latest repair
+    /// slot and pending-fault count.
     pub fn is_idle(&self, now: Cycle) -> bool {
-        self.next >= self.plan.events.len()
-            && self
-                .transient_until
-                .iter()
-                .all(|t| t.is_none_or(|repair| repair <= now))
-            && self.pending_responses.iter().all(VecDeque::is_empty)
+        self.next >= self.plan.events.len() && self.latest_repair <= now && self.pending_count == 0
     }
 }
 
@@ -674,6 +684,66 @@ mod tests {
             Some(FaultKind::CorruptedResponse { proc: 1 })
         );
         assert_eq!(st.take_response_fault(1), None);
+    }
+
+    /// The full scan the cached [`FaultState::is_idle`] replaces.
+    fn is_idle_by_scan(st: &FaultState, now: Cycle) -> bool {
+        st.next >= st.plan.events.len()
+            && st
+                .transient_until
+                .iter()
+                .all(|t| t.is_none_or(|repair| repair <= now))
+            && st.pending_responses.iter().all(VecDeque::is_empty)
+    }
+
+    #[test]
+    fn cached_idleness_matches_the_full_scan() {
+        let params = PlanParams {
+            banks: 8,
+            processors: 4,
+            horizon: 48,
+            permanent: 1,
+            transient: 3,
+            max_repair: 12,
+            responses: 4,
+            stuck: 1,
+        };
+        let round_trip = |st: &FaultState| {
+            let (next, transient, pending) = st.snapshot_parts();
+            FaultState::from_parts(
+                st.plan().clone(),
+                next,
+                transient.to_vec(),
+                pending.to_vec(),
+            )
+        };
+        let mut idle_seen = 0;
+        for seed in 0..64 {
+            let mut st = FaultState::new(FaultPlan::generate(seed, &params), 8, 4);
+            let mut rng = SplitMix64::new(seed ^ 0x5EED);
+            for slot in 0..80 {
+                st.advance(slot);
+                // Deliveries consume response faults at arbitrary slots.
+                if rng.below(3) == 0 {
+                    st.take_response_fault(rng.below(4) as ProcId);
+                }
+                if slot % 7 == 0 {
+                    st = round_trip(&st);
+                }
+                let scan = is_idle_by_scan(&st, slot);
+                assert_eq!(st.is_idle(slot), scan, "seed {seed}, slot {slot}");
+                assert_eq!(
+                    round_trip(&st).is_idle(slot),
+                    scan,
+                    "seed {seed}, slot {slot}"
+                );
+                idle_seen += usize::from(scan);
+            }
+        }
+        assert!(
+            idle_seen > 0,
+            "no plan ever went idle: the check is vacuous"
+        );
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! * [`machine`] — [`machine::CfmMachine`], the slot-stepped simulator that
 //!   ties processors, the synchronous interconnect, banks and ATTs
 //!   together and checks the conflict-freedom invariant every cycle. By
-//!   default ([`config::Engine::Windowed`]) it runs runtime-proven windows
-//!   and proven single slots through one fused access kernel without
-//!   per-access ATT checks — conflict freedom makes the per-slot work
+//!   default ([`config::Engine::Windowed`]) it runs runtime-proven windows,
+//!   and every access an O(1) probe finds clean, through one fused access
+//!   kernel without per-access ATT checks — conflict freedom makes the
+//!   per-slot work
 //!   disjoint by construction, and the engine stays byte-identical to the
 //!   sequential reference stepper (see `docs/performance.md`).
 //! * [`program`] — a small "processor program" abstraction for driving the

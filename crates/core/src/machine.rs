@@ -134,6 +134,77 @@ pub struct WindowRefusals {
     pub hazard: u64,
 }
 
+/// Why the windowed engine's per-slot pass sent an access down the
+/// checked path instead of the fused kernel — one count per access,
+/// under the first reason that applied, in the order the fields are
+/// listed. Read with [`CfmMachine::access_fallbacks`]; kept out of
+/// [`Stats`] and out of snapshots, like [`WindowRefusals`]. The
+/// sequential engine checks every access and counts nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AccessFallbacks {
+    /// A seeded fault hook was armed: every access of the slot is
+    /// checked, since the hooks perturb accesses the probe does not
+    /// model.
+    pub seeded: u64,
+    /// A transient error was latched on the routed bank.
+    pub transient: u64,
+    /// The operation held a fault-pinned ATT entry.
+    pub held: u64,
+    /// Another processor's ATT entry (live or held) arbitrated the same
+    /// offset in the routed bank.
+    pub contended: u64,
+    /// Slots in which fused and checked accesses mixed — the slots a
+    /// whole-slot proof would have run entirely on the checked path.
+    pub mixed_slots: u64,
+}
+
+/// A set of processor ids, one bit each, visited in ascending order —
+/// processor order is the order every slot commits its accesses in.
+#[derive(Debug, Clone, Default)]
+struct ProcSet {
+    words: Vec<u64>,
+}
+
+impl ProcSet {
+    fn new(n: usize) -> Self {
+        ProcSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, p: ProcId) {
+        self.words[p / 64] |= 1 << (p % 64);
+    }
+
+    fn remove(&mut self, p: ProcId) {
+        self.words[p / 64] &= !(1 << (p % 64));
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = ProcId> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| members(i, w))
+    }
+}
+
+/// The processors in word `i` of a [`ProcSet`], ascending. The word is
+/// passed by value, so a caller walking a set word by word may mutate
+/// the set (and the machine that owns it) as it goes.
+fn members(i: usize, mut word: u64) -> impl Iterator<Item = ProcId> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            i * 64 + bit
+        })
+    })
+}
+
 /// The cycle-accurate conflict-free memory machine.
 #[derive(Debug, Clone)]
 pub struct CfmMachine {
@@ -146,7 +217,14 @@ pub struct CfmMachine {
     atts: Vec<Att>,
     /// In-flight operation of each processor.
     inflight: Vec<Option<InFlight>>,
+    /// The processors with an operation in flight — exactly those whose
+    /// `inflight` slot is occupied — so per-slot work walks the live
+    /// operations rather than all `n` slots.
+    live: ProcSet,
     done: Vec<VecDeque<Completion>>,
+    /// Processors whose `done` queue may hold completions [`Self::run`]
+    /// has not collected: a clear bit means an empty queue.
+    undrained: ProcSet,
     /// Recycled block-sized buffers (`read_buf`, `observed_writers`,
     /// RMW `write_data`) — completions return their buffers here and
     /// issues draw from here, so the steady-state hot path performs no
@@ -199,6 +277,13 @@ pub struct CfmMachine {
     /// Why window attempts were refused (kept out of [`Stats`], like
     /// [`Self::parallel_slots`]).
     window_refusals: WindowRefusals,
+    /// Why per-slot accesses took the checked path (kept out of
+    /// [`Stats`], like [`Self::parallel_slots`]).
+    access_fallbacks: AccessFallbacks,
+    /// A lower bound on the first slot at which an ATT expiry sweep can
+    /// drop a live entry: inserts lower it, a sweep recomputes it, and
+    /// slots before it skip the sweep.
+    expiry_due: Cycle,
 }
 
 /// Staged construction of a [`CfmMachine`] — the single entry point for
@@ -347,7 +432,9 @@ impl CfmMachine {
             banks: BankArray::new(physical, offsets),
             atts: (0..b).map(|_| Att::with_offsets(b, offsets)).collect(),
             inflight: vec![None; n],
+            live: ProcSet::new(n),
             done: vec![VecDeque::new(); n],
+            undrained: ProcSet::new(n),
             buf_pool: Vec::new(),
             cycle: 0,
             next_op_id: 1,
@@ -367,6 +454,8 @@ impl CfmMachine {
             scan_writer: vec![false; offsets],
             scan_touched: Vec::new(),
             window_refusals: WindowRefusals::default(),
+            access_fallbacks: AccessFallbacks::default(),
+            expiry_due: 0,
             config,
         }
     }
@@ -517,6 +606,14 @@ impl CfmMachine {
         self.window_refusals
     }
 
+    /// Why the windowed engine's per-slot pass checked an access instead
+    /// of running it through the fused kernel, counted per reason (see
+    /// [`AccessFallbacks`]). Diagnostic only: not carried by snapshots,
+    /// so a restored machine starts from zero.
+    pub fn access_fallbacks(&self) -> AccessFallbacks {
+        self.access_fallbacks
+    }
+
     /// Number of block offsets per bank.
     pub fn offsets(&self) -> usize {
         self.banks.offsets()
@@ -548,7 +645,7 @@ impl CfmMachine {
 
     /// Whether every processor is idle.
     pub fn is_idle(&self) -> bool {
-        self.inflight.iter().all(Option::is_none)
+        self.live.is_empty()
     }
 
     /// Read a block directly (debug/test access, not a timed operation).
@@ -672,6 +769,7 @@ impl CfmMachine {
             outcome: Outcome::Completed,
             last_progress: self.cycle,
         });
+        self.live.insert(p);
         self.stats.issued += 1;
         if let Some(t) = self.trace.as_mut() {
             t.record(TraceEvent::Issue {
@@ -693,13 +791,13 @@ impl CfmMachine {
     /// Simulate one CPU cycle (one time slot).
     ///
     /// Under the windowed engine ([`Engine::Windowed`], the default) the
-    /// slot runs as *plan → fused execute*: a read-only plan proves the
-    /// slot hazard-free and, if it succeeds, every processor's word
-    /// access runs in processor order through the fused access kernel
-    /// proven windows use — byte-identical traces, stats and completions
-    /// (see `docs/performance.md`). Any slot the plan cannot prove falls
-    /// back to the sequential path, unchanged. Proven multi-slot windows
-    /// run only from [`Self::run`].
+    /// slot is one pass over the in-flight processors, in processor
+    /// order, choosing per access: an access the O(1) hazard probe finds
+    /// clean runs through the fused access kernel proven windows use,
+    /// every other access through the checked path the sequential engine
+    /// runs — byte-identical traces, stats and completions (see
+    /// `docs/performance.md`). Proven multi-slot windows run only from
+    /// [`Self::run`].
     pub fn step(&mut self) {
         let now = self.cycle;
         // Move the trace out of `self` so the hooks can borrow it as a
@@ -707,13 +805,9 @@ impl CfmMachine {
         // `NullSink` keeps the untraced path allocation-free.
         let mut active = self.trace.take();
         self.step_prologue(now, &mut active);
-        let proven = self.config.engine() == Engine::Windowed
-            && match active.as_mut() {
-                Some(trace) => self.parallel_slot(now, trace),
-                None => self.parallel_slot(now, &mut NullSink),
-            };
-        if !proven {
-            self.step_procs(now, &mut active);
+        match active.as_mut() {
+            Some(trace) => self.step_procs(now, trace),
+            None => self.step_procs(now, &mut NullSink),
         }
         self.step_epilogue(now, &mut active);
         self.trace = active;
@@ -729,8 +823,21 @@ impl CfmMachine {
             Some(t) => t,
             None => &mut null,
         };
-        for (k, att) in self.atts.iter_mut().enumerate() {
-            att.expire_traced(now, k, sink);
+        // Sweep only once some entry can be due: an earlier sweep drops
+        // nothing and records nothing.
+        if now >= self.expiry_due {
+            for (k, att) in self.atts.iter_mut().enumerate() {
+                att.expire_traced(now, k, sink);
+            }
+            self.expiry_due = expiry_horizon(&self.atts);
+        } else {
+            debug_assert!(
+                self.atts
+                    .iter()
+                    .filter_map(Att::next_expiry)
+                    .all(|due| due > now),
+                "skipped the ATT sweep with an entry due at slot {now}"
+            );
         }
         // Activate fault-plan events due this slot. Permanent failures
         // reconfigure the bank map online; transient and response faults
@@ -751,63 +858,241 @@ impl CfmMachine {
         }
     }
 
-    /// The sequential per-processor slot loop — the reference engine, and
-    /// the fallback for every slot the single-slot plan cannot prove
-    /// hazard-free.
-    fn step_procs(&mut self, now: Cycle, active: &mut Option<MemoryTrace>) {
+    /// Every in-flight processor's access at slot `now`, in processor
+    /// order. The sequential engine checks every access
+    /// ([`Self::step_proc`]). The windowed engine probes each access
+    /// first and runs it through the fused kernel ([`Kernel::access`])
+    /// when the probe finds it clean: no transient error on the routed
+    /// bank `k`, no held ATT entry, and no other processor's entry for
+    /// the offset in ATT `k`. A clean probe guarantees what the checked
+    /// path would find — no retry, no read conflict, a `Proceed` write
+    /// verdict — so both paths make the same events, bank commits and
+    /// ATT inserts.
+    ///
+    /// Probing the live state at each processor's turn is sound: an
+    /// earlier access in the same slot inserts only into its own bank's
+    /// ATT (never `k`: the slot's banks are a permutation), and a
+    /// restart or abandonment only removes entries.
+    fn step_procs<S: TraceSink + ?Sized>(&mut self, now: Cycle, sink: &mut S) {
+        let windowed = self.config.engine() == Engine::Windowed;
+        let (b, c) = (self.config.banks(), self.config.bank_cycle() as usize);
+        let first = (now % b as u64) as usize;
+        // Seeded-fault hooks perturb individual accesses in ways the
+        // probe does not model: the checked path takes those slots.
+        let seeded = self.att_insert_drops > 0 || self.retry_suppressions > 0;
+        let (mut fused, mut checked) = (0u64, 0u64);
+        for i in 0..self.live.words.len() {
+            for p in members(i, self.live.words[i]) {
+                if windowed {
+                    let op = self.inflight[p]
+                        .as_ref()
+                        .expect("live processors are in flight");
+                    if op.phase == Phase::Drain || now < op.sleep_until {
+                        continue;
+                    }
+                    // `bank(t, p) = (t + c·p) mod b`, and `c·p < b`.
+                    let k = first + c * p;
+                    let k = if k >= b { k - b } else { k };
+                    let fallbacks = &mut self.access_fallbacks;
+                    let reason = if seeded {
+                        Some(&mut fallbacks.seeded)
+                    } else if self.fault_state.transient_fault(now, k) {
+                        Some(&mut fallbacks.transient)
+                    } else if op.held_entry.is_some() {
+                        Some(&mut fallbacks.held)
+                    } else if self.att_enabled && self.atts[k].contended_by_other(op.offset, p) {
+                        Some(&mut fallbacks.contended)
+                    } else {
+                        None
+                    };
+                    let Some(count) = reason else {
+                        let (mut kernel, inflight) = self.kernel();
+                        let op = inflight[p].as_mut().expect("live processors are in flight");
+                        kernel.access(op, p, k, now, sink);
+                        fused += 1;
+                        continue;
+                    };
+                    *count += 1;
+                    checked += 1;
+                }
+                self.step_proc(p, now, sink);
+            }
+        }
+        if fused > 0 {
+            if checked == 0 {
+                self.parallel_slots += 1;
+            } else {
+                self.access_fallbacks.mixed_slots += 1;
+            }
+        }
+    }
+
+    /// Processor `p`'s access at slot `now` on the checked path — the
+    /// sequential engine's per-access semantics, which the fused kernel
+    /// must match: route, transient-fault retry, bank access, the ATT
+    /// comparison and the restart, abort or backoff it decides.
+    fn step_proc<S: TraceSink + ?Sized>(&mut self, p: ProcId, now: Cycle, sink: &mut S) {
         let b = self.config.banks();
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match active.as_mut() {
-            Some(t) => t,
-            None => &mut null,
+        let Some(mut op) = self.inflight[p].take() else {
+            return;
         };
-        for p in 0..self.config.processors() {
-            let Some(mut op) = self.inflight[p].take() else {
-                continue;
-            };
-            if op.phase == Phase::Drain || now < op.sleep_until {
+        if op.phase == Phase::Drain || now < op.sleep_until {
+            self.inflight[p] = Some(op);
+            return;
+        }
+        let k = self.space.route_traced(now, p, sink);
+        // Transient bank error: the access fails before injecting.
+        // Retry with exponential slot-backoff, bounded; a suppressed
+        // retry (seeded fault) proceeds with a corrupted word.
+        let corrupt_mask: Word = if self.fault_state.transient_fault(now, k) {
+            if self.retry_suppressions > 0 {
+                self.retry_suppressions -= 1;
+                CORRUPT_MASK
+            } else {
+                self.transient_retry(&mut op, p, k, now, sink);
                 self.inflight[p] = Some(op);
-                continue;
+                return;
             }
-            let k = self.space.route_traced(now, p, sink);
-            // Transient bank error: the access fails before injecting.
-            // Retry with exponential slot-backoff, bounded; a suppressed
-            // retry (seeded fault) proceeds with a corrupted word.
-            let corrupt_mask: Word = if self.fault_state.transient_fault(now, k) {
-                if self.retry_suppressions > 0 {
-                    self.retry_suppressions -= 1;
-                    CORRUPT_MASK
+        } else {
+            0
+        };
+        // The physical bank serving logical bank `k`; a masked bank
+        // (dead, no spare) skips the word access — that word of the
+        // block is lost in spare-less degraded mode.
+        let phys = self.bank_map.phys(k);
+        if let Some(ph) = phys {
+            if !self.banks.note_injection(ph, now) {
+                // Impossible under the AT-space schedule; recorded, not fatal.
+                self.stats.bank_conflicts += 1;
+            }
+            self.stats.word_accesses += 1;
+        } else {
+            self.stats.masked_accesses += 1;
+        }
+        op.last_progress = now;
+        match op.phase {
+            Phase::Read => {
+                let conflict = self
+                    .att_enabled
+                    .then(|| self.atts[k].read_conflict(op.offset, p, now))
+                    .flatten();
+                if let Some(blocker) = conflict {
+                    // Restart the read from the next bank; for a swap,
+                    // the whole operation restarts (Fig 4.6a).
+                    sink.record(TraceEvent::AttMerge {
+                        slot: now,
+                        bank: k,
+                        proc: p,
+                        op_id: op.op_id,
+                        offset: op.offset,
+                        blocker_proc: blocker.proc,
+                        blocker_inserted_at: blocker.inserted_at,
+                        action: MergeAction::ReadRestart,
+                    });
+                    self.stats.wasted_word_accesses += op.visited as u64 + 1;
+                    if matches!(op.kind, OpKind::Swap | OpKind::Rmw) {
+                        self.stats.swap_restarts += 1;
+                    } else {
+                        self.stats.read_restarts += 1;
+                    }
+                    op.restarts += 1;
+                    op.visited = 0;
                 } else {
-                    self.transient_retry(&mut op, p, k, now, sink);
-                    self.inflight[p] = Some(op);
-                    continue;
+                    match phys {
+                        Some(ph) => {
+                            op.read_buf[k] = self
+                                .banks
+                                .read_traced(ph, op.offset, now, k, p, op.op_id, sink)
+                                ^ corrupt_mask;
+                            op.observed_writers[k] = self.banks.writer(ph, op.offset);
+                        }
+                        None => {
+                            op.read_buf[k] = 0;
+                            op.observed_writers[k] = MASKED_WRITER;
+                        }
+                    }
+                    op.visited += 1;
+                    if op.visited == b {
+                        if matches!(op.kind, OpKind::Swap | OpKind::Rmw) {
+                            // §4.2.1: the modification is computed in a
+                            // pipelined fashion, so the write phase
+                            // starts with no extra delay.
+                            if let Some(t) = &op.transform {
+                                t.apply_into(&op.read_buf, &mut op.write_data);
+                            }
+                            op.phase = Phase::Write;
+                            op.visited = 0;
+                            op.bank0_updated = false;
+                        } else {
+                            op.phase = Phase::Drain;
+                            op.completes_at = now + self.config.bank_cycle() as u64 - 1;
+                        }
+                    }
                 }
-            } else {
-                0
-            };
-            // The physical bank serving logical bank `k`; a masked bank
-            // (dead, no spare) skips the word access — that word of the
-            // block is lost in spare-less degraded mode.
-            let phys = self.bank_map.phys(k);
-            if let Some(ph) = phys {
-                if !self.banks.note_injection(ph, now) {
-                    // Impossible under the AT-space schedule; recorded, not fatal.
-                    self.stats.bank_conflicts += 1;
-                }
-                self.stats.word_accesses += 1;
-            } else {
-                self.stats.masked_accesses += 1;
             }
-            op.last_progress = now;
-            match op.phase {
-                Phase::Read => {
-                    let conflict = self
-                        .att_enabled
-                        .then(|| self.atts[k].read_conflict(op.offset, p, now))
-                        .flatten();
-                    if let Some(blocker) = conflict {
-                        // Restart the read from the next bank; for a swap,
-                        // the whole operation restarts (Fig 4.6a).
+            Phase::Write => {
+                if op.visited == 0 && self.att_enabled {
+                    // A resumed fault-stalled phase re-protects itself
+                    // with a fresh entry; the held one is released.
+                    if let Some((bank, at)) = op.held_entry.take() {
+                        self.atts[bank].remove_traced(op.offset, p, at, now, bank, sink);
+                    }
+                    if self.att_insert_drops > 0 {
+                        self.att_insert_drops -= 1;
+                    } else {
+                        self.atts[k].insert_traced(
+                            Entry {
+                                offset: op.offset,
+                                kind: track_kind(op.kind),
+                                proc: p,
+                                inserted_at: now,
+                            },
+                            k,
+                            op.op_id,
+                            sink,
+                        );
+                        // The entry expires `b` slots on.
+                        self.expiry_due = self.expiry_due.min(now + b as u64);
+                    }
+                }
+                let verdict = if self.att_enabled {
+                    self.atts[k].write_verdict(
+                        self.mode,
+                        op.offset,
+                        p,
+                        now,
+                        op.visited as u64,
+                        op.bank0_updated,
+                        // Write-phase accesses are consecutive, so the
+                        // phase began `visited` cycles ago.
+                        now - op.visited as u64,
+                    )
+                } else {
+                    WriteVerdict::Proceed
+                };
+                match verdict {
+                    WriteVerdict::Proceed => {
+                        if let Some(ph) = phys {
+                            self.banks.write_traced(
+                                ph,
+                                op.offset,
+                                op.write_data[k] ^ corrupt_mask,
+                                now,
+                                k,
+                                p,
+                                op.op_id,
+                                sink,
+                            );
+                            self.banks.stamp(ph, op.offset, op.op_id);
+                        }
+                        op.bank0_updated |= k == 0;
+                        op.visited += 1;
+                        if op.visited == b {
+                            op.phase = Phase::Drain;
+                            op.completes_at = now + self.config.bank_cycle() as u64 - 1;
+                        }
+                    }
+                    WriteVerdict::Abort { blocker } => {
                         sink.record(TraceEvent::AttMerge {
                             slot: now,
                             bank: k,
@@ -816,171 +1101,58 @@ impl CfmMachine {
                             offset: op.offset,
                             blocker_proc: blocker.proc,
                             blocker_inserted_at: blocker.inserted_at,
-                            action: MergeAction::ReadRestart,
+                            action: MergeAction::WriteAbort,
                         });
                         self.stats.wasted_word_accesses += op.visited as u64 + 1;
-                        if matches!(op.kind, OpKind::Swap | OpKind::Rmw) {
-                            self.stats.swap_restarts += 1;
-                        } else {
-                            self.stats.read_restarts += 1;
-                        }
+                        self.stats.write_aborts += 1;
+                        op.outcome = Outcome::Overwritten;
+                        op.phase = Phase::Drain;
+                        op.completes_at = now;
+                    }
+                    WriteVerdict::Restart { blocker } => {
+                        sink.record(TraceEvent::AttMerge {
+                            slot: now,
+                            bank: k,
+                            proc: p,
+                            op_id: op.op_id,
+                            offset: op.offset,
+                            blocker_proc: blocker.proc,
+                            blocker_inserted_at: blocker.inserted_at,
+                            action: MergeAction::WriteRestart,
+                        });
+                        self.stats.wasted_word_accesses += op.visited as u64 + 1;
                         op.restarts += 1;
-                        op.visited = 0;
-                    } else {
-                        match phys {
-                            Some(ph) => {
-                                op.read_buf[k] = self
-                                    .banks
-                                    .read_traced(ph, op.offset, now, k, p, op.op_id, sink)
-                                    ^ corrupt_mask;
-                                op.observed_writers[k] = self.banks.writer(ph, op.offset);
-                            }
-                            None => {
-                                op.read_buf[k] = 0;
-                                op.observed_writers[k] = MASKED_WRITER;
-                            }
-                        }
-                        op.visited += 1;
-                        if op.visited == b {
-                            if matches!(op.kind, OpKind::Swap | OpKind::Rmw) {
-                                // §4.2.1: the modification is computed in a
-                                // pipelined fashion, so the write phase
-                                // starts with no extra delay.
-                                if let Some(t) = &op.transform {
-                                    t.apply_into(&op.read_buf, &mut op.write_data);
-                                }
-                                op.phase = Phase::Write;
-                                op.visited = 0;
-                                op.bank0_updated = false;
-                            } else {
-                                op.phase = Phase::Drain;
-                                op.completes_at = now + self.config.bank_cycle() as u64 - 1;
-                            }
-                        }
-                    }
-                }
-                Phase::Write => {
-                    if op.visited == 0 && self.att_enabled {
-                        // A resumed fault-stalled phase re-protects itself
-                        // with a fresh entry; the held one is released.
-                        if let Some((bank, at)) = op.held_entry.take() {
-                            self.atts[bank].remove_traced(op.offset, p, at, now, bank, sink);
-                        }
-                        if self.att_insert_drops > 0 {
-                            self.att_insert_drops -= 1;
-                        } else {
-                            self.atts[k].insert_traced(
-                                Entry {
-                                    offset: op.offset,
-                                    kind: track_kind(op.kind),
-                                    proc: p,
-                                    inserted_at: now,
-                                },
-                                k,
-                                op.op_id,
-                                sink,
-                            );
-                        }
-                    }
-                    let verdict = if self.att_enabled {
-                        self.atts[k].write_verdict(
-                            self.mode,
+                        // Withdraw our own entry: a backed-off write is
+                        // no longer a competitor, and its stale entry
+                        // would otherwise keep killing other writers
+                        // (3-writer livelock; see att.rs docs).
+                        let phase_start = now - op.visited as u64;
+                        let start_bank = self.space.bank_for(phase_start, p);
+                        self.atts[start_bank].remove_traced(
                             op.offset,
                             p,
+                            phase_start,
                             now,
-                            op.visited as u64,
-                            op.bank0_updated,
-                            // Write-phase accesses are consecutive, so the
-                            // phase began `visited` cycles ago.
-                            now - op.visited as u64,
-                        )
-                    } else {
-                        WriteVerdict::Proceed
-                    };
-                    match verdict {
-                        WriteVerdict::Proceed => {
-                            if let Some(ph) = phys {
-                                self.banks.write_traced(
-                                    ph,
-                                    op.offset,
-                                    op.write_data[k] ^ corrupt_mask,
-                                    now,
-                                    k,
-                                    p,
-                                    op.op_id,
-                                    sink,
-                                );
-                                self.banks.stamp(ph, op.offset, op.op_id);
-                            }
-                            op.bank0_updated |= k == 0;
-                            op.visited += 1;
-                            if op.visited == b {
-                                op.phase = Phase::Drain;
-                                op.completes_at = now + self.config.bank_cycle() as u64 - 1;
-                            }
-                        }
-                        WriteVerdict::Abort { blocker } => {
-                            sink.record(TraceEvent::AttMerge {
-                                slot: now,
-                                bank: k,
-                                proc: p,
-                                op_id: op.op_id,
-                                offset: op.offset,
-                                blocker_proc: blocker.proc,
-                                blocker_inserted_at: blocker.inserted_at,
-                                action: MergeAction::WriteAbort,
-                            });
-                            self.stats.wasted_word_accesses += op.visited as u64 + 1;
-                            self.stats.write_aborts += 1;
-                            op.outcome = Outcome::Overwritten;
-                            op.phase = Phase::Drain;
-                            op.completes_at = now;
-                        }
-                        WriteVerdict::Restart { blocker } => {
-                            sink.record(TraceEvent::AttMerge {
-                                slot: now,
-                                bank: k,
-                                proc: p,
-                                op_id: op.op_id,
-                                offset: op.offset,
-                                blocker_proc: blocker.proc,
-                                blocker_inserted_at: blocker.inserted_at,
-                                action: MergeAction::WriteRestart,
-                            });
-                            self.stats.wasted_word_accesses += op.visited as u64 + 1;
-                            op.restarts += 1;
-                            // Withdraw our own entry: a backed-off write is
-                            // no longer a competitor, and its stale entry
-                            // would otherwise keep killing other writers
-                            // (3-writer livelock; see att.rs docs).
-                            let phase_start = now - op.visited as u64;
-                            let start_bank = self.space.bank_for(phase_start, p);
-                            self.atts[start_bank].remove_traced(
-                                op.offset,
-                                p,
-                                phase_start,
-                                now,
-                                start_bank,
-                                sink,
-                            );
-                            op.visited = 0;
-                            op.bank0_updated = false;
-                            // Back off until the blocker's entry expires
-                            // (one full ATT lifetime after its insertion).
-                            op.sleep_until = blocker.inserted_at + b as u64;
-                            if matches!(op.kind, OpKind::Swap | OpKind::Rmw) {
-                                self.stats.swap_restarts += 1;
-                                op.phase = Phase::Read;
-                            } else {
-                                self.stats.write_restarts += 1;
-                            }
+                            start_bank,
+                            sink,
+                        );
+                        op.visited = 0;
+                        op.bank0_updated = false;
+                        // Back off until the blocker's entry expires
+                        // (one full ATT lifetime after its insertion).
+                        op.sleep_until = blocker.inserted_at + b as u64;
+                        if matches!(op.kind, OpKind::Swap | OpKind::Rmw) {
+                            self.stats.swap_restarts += 1;
+                            op.phase = Phase::Read;
+                        } else {
+                            self.stats.write_restarts += 1;
                         }
                     }
                 }
-                Phase::Drain => unreachable!(),
             }
-            self.inflight[p] = Some(op);
+            Phase::Drain => unreachable!(),
         }
+        self.inflight[p] = Some(op);
     }
 
     /// Deliver completions whose pipeline has drained by the end of this
@@ -993,12 +1165,15 @@ impl CfmMachine {
             Some(t) => t,
             None => &mut null,
         };
-        for p in 0..self.config.processors() {
-            let ready = matches!(
-                &self.inflight[p],
-                Some(op) if op.phase == Phase::Drain && op.completes_at <= now
-            );
-            if ready {
+        for i in 0..self.live.words.len() {
+            for p in members(i, self.live.words[i]) {
+                let ready = matches!(
+                    &self.inflight[p],
+                    Some(op) if op.phase == Phase::Drain && op.completes_at <= now
+                );
+                if !ready {
+                    continue;
+                }
                 // Response-path fault: the completion is not delivered —
                 // ECC detects the loss/corruption and the buffered
                 // response is retransmitted one AT-space period later
@@ -1021,6 +1196,7 @@ impl CfmMachine {
                     continue;
                 }
                 let mut op = self.inflight[p].take().expect("checked above");
+                self.live.remove(p);
                 // Defensive: no delivered operation may leave a pinned
                 // ATT entry behind (reachable only if the seeded
                 // insert-drop hook swallowed the resume re-insert).
@@ -1070,6 +1246,7 @@ impl CfmMachine {
                     completed: op.outcome == Outcome::Completed,
                     torn,
                 });
+                self.undrained.insert(p);
                 self.done[p].push_back(Completion {
                     proc: p,
                     kind: op.kind,
@@ -1083,56 +1260,6 @@ impl CfmMachine {
                 });
             }
         }
-    }
-
-    /// Attempt slot `now` as *plan → fused execute*. Returns `false`
-    /// (having mutated nothing) when the slot is not provably
-    /// hazard-free, or when no processor injects this slot.
-    ///
-    /// **Plan** (read-only): for every processor injecting this slot,
-    /// check the hazard conditions — a pending transient fault on the
-    /// routed bank, a held ATT entry, or *any* other processor's entry
-    /// arbitrating the same offset. A hazard-free slot statically
-    /// guarantees what the sequential loop would discover dynamically:
-    /// every read's `read_conflict` is `None`, every write verdict is
-    /// `Proceed`, and no restart, abort or hold occurs.
-    ///
-    /// **Execute**: walk the processors in order through the fused
-    /// access kernel ([`Kernel::access`]) — the sequential loop minus
-    /// the checks the plan discharged, so events, bank commits and ATT
-    /// inserts land in the sequential engine's exact order.
-    fn parallel_slot<S: TraceSink + ?Sized>(&mut self, now: Cycle, sink: &mut S) -> bool {
-        // Seeded-fault hooks perturb individual accesses in ways the plan
-        // does not model — let the sequential engine handle those slots.
-        if self.att_insert_drops > 0 || self.retry_suppressions > 0 {
-            return false;
-        }
-        let (b, c) = (self.config.banks(), self.config.bank_cycle() as usize);
-        let injects = |op: &InFlight| op.phase != Phase::Drain && now >= op.sleep_until;
-        let mut injecting = false;
-        for ((p, slot), k) in self.inflight.iter().enumerate().zip(slot_banks(now, b, c)) {
-            let Some(op) = slot.as_ref().filter(|op| injects(op)) else {
-                continue;
-            };
-            if self.fault_state.transient_fault(now, k)
-                || op.held_entry.is_some()
-                || (self.att_enabled && self.atts[k].contended_by_other(op.offset, p))
-            {
-                return false;
-            }
-            injecting = true;
-        }
-        if !injecting {
-            return false;
-        }
-        let (mut kernel, inflight) = self.kernel();
-        for ((p, slot), k) in inflight.iter_mut().enumerate().zip(slot_banks(now, b, c)) {
-            if let Some(op) = slot.as_mut().filter(|op| injects(op)) {
-                kernel.access(op, p, k, now, sink);
-            }
-        }
-        self.parallel_slots += 1;
-        true
     }
 
     /// Online graceful degradation for a permanent bank failure: remap
@@ -1183,13 +1310,13 @@ impl CfmMachine {
     /// would re-apply the RMW. The resumed phase rewrites the whole block
     /// from the cached `write_data` — idempotent, because the held entry
     /// kept every competitor off the block.
-    fn transient_retry(
+    fn transient_retry<S: TraceSink + ?Sized>(
         &mut self,
         op: &mut InFlight,
         p: ProcId,
         k: BankId,
         now: Cycle,
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
     ) {
         op.last_progress = now;
         op.fault_retries += 1;
@@ -1327,7 +1454,10 @@ impl CfmMachine {
         let now = self.cycle;
         let mut min_remaining = u64::MAX;
         let mut actives = 0usize;
-        for op in self.inflight.iter().flatten() {
+        for p in self.live.iter() {
+            let op = self.inflight[p]
+                .as_ref()
+                .expect("live processors are in flight");
             if op.phase == Phase::Drain || now < op.sleep_until || op.held_entry.is_some() {
                 self.window_refusals.op_busy += 1;
                 return 0;
@@ -1390,8 +1520,10 @@ impl CfmMachine {
                     }
                 }
             }
-            for (p, slot) in self.inflight.iter().enumerate() {
-                let Some(op) = slot.as_ref() else { continue };
+            for p in self.live.iter() {
+                let op = self.inflight[p]
+                    .as_ref()
+                    .expect("live processors are in flight");
                 if mark(op.offset, p as u32, op.kind != OpKind::Read) {
                     hazard = true;
                     break 'scan;
@@ -1444,6 +1576,7 @@ impl CfmMachine {
             stats,
             att_enabled,
             bank_map,
+            expiry_due,
             ..
         } = self;
         let kernel = Kernel {
@@ -1451,6 +1584,7 @@ impl CfmMachine {
             banks,
             bank_map,
             stats,
+            expiry_due,
             att_enabled: *att_enabled,
             banks_per_block: config.banks(),
             bank_cycle: u64::from(config.bank_cycle()),
@@ -1459,7 +1593,8 @@ impl CfmMachine {
     }
 
     /// Run `w` slots of a proven window: one pass per slot against the
-    /// live banks — ATT expiry (on slots where an entry is due), then
+    /// live banks — ATT expiry (on slots where an entry can be due, as in
+    /// [`Self::step_prologue`]), then
     /// every in-flight operation's access, in processor order, through
     /// the fused access kernel ([`Kernel::access`]).
     ///
@@ -1473,24 +1608,16 @@ impl CfmMachine {
         let c = self.config.bank_cycle() as usize;
         let now = self.cycle;
         let (mut kernel, inflight) = self.kernel();
-        // The expiry sweep over all b ATTs runs only on slots where some
-        // entry is due, and only entries live at the window's start can
-        // fall due inside it: an entry lives b slots, while the write
-        // phase that inserts it ends — and so the window stops — sooner.
-        let horizon = |atts: &[Att]| {
-            atts.iter()
-                .filter_map(Att::next_expiry)
-                .min()
-                .unwrap_or(Cycle::MAX)
-        };
-        let mut next_expiry = horizon(kernel.atts);
         for t in now..now + w {
-            if t >= next_expiry {
+            if t >= *kernel.expiry_due {
                 for (k, att) in kernel.atts.iter_mut().enumerate() {
                     att.expire_traced(t, k, sink);
                 }
-                next_expiry = horizon(kernel.atts);
+                *kernel.expiry_due = expiry_horizon(kernel.atts);
             }
+            // The dense zip over every slot, not the live set: in-window
+            // most processors are live, and the zip's incremental bank
+            // walk beats a bitset walk's per-member bank computation.
             for ((p, slot), k) in inflight.iter_mut().enumerate().zip(slot_banks(t, b, c)) {
                 if let Some(op) = slot.as_mut() {
                     kernel.access(op, p, k, t, sink);
@@ -1524,8 +1651,13 @@ impl CfmMachine {
             } else {
                 used += advanced;
             }
-            for p in 0..self.done.len() {
-                completions.extend(self.done[p].drain(..));
+            // Collect in processor order, as delivered since the last
+            // pass (or queued before the run).
+            for i in 0..self.undrained.words.len() {
+                let word = std::mem::take(&mut self.undrained.words[i]);
+                for p in members(i, word) {
+                    completions.extend(self.done[p].drain(..));
+                }
             }
         }
         let outcome = if self.is_idle() {
@@ -1809,10 +1941,14 @@ impl CfmMachine {
                     outcome: op.outcome,
                     last_progress: op.last_progress,
                 });
+                m.live.insert(p);
             }
         }
-        for (q, src) in m.done.iter_mut().zip(&s.done) {
+        for (p, (q, src)) in m.done.iter_mut().zip(&s.done).enumerate() {
             q.extend(src.iter().cloned());
+            if !q.is_empty() {
+                m.undrained.insert(p);
+            }
         }
         Self::restore_counters(&mut m, s);
         if s.tracing {
@@ -1927,6 +2063,9 @@ impl CfmMachine {
         );
         for (p, q) in s.done.iter().enumerate().take(n_tgt) {
             m.done[p].extend(q.iter().cloned());
+            if !q.is_empty() {
+                m.undrained.insert(p);
+            }
         }
         Self::restore_counters(&mut m, s);
         if s.tracing {
@@ -2016,6 +2155,15 @@ impl RunReport {
     }
 }
 
+/// The first slot at which an expiry sweep over `atts` drops a live
+/// entry (`Cycle::MAX` while every queue is empty).
+fn expiry_horizon(atts: &[Att]) -> Cycle {
+    atts.iter()
+        .filter_map(Att::next_expiry)
+        .min()
+        .unwrap_or(Cycle::MAX)
+}
+
 /// The banks processors `0, 1, …` inject into at slot `t` under the
 /// AT-space schedule `bank(t, p) = (t + c·p) mod b`, advanced
 /// incrementally (`+c` per processor) instead of a `%` per access.
@@ -2032,6 +2180,8 @@ struct Kernel<'a> {
     banks: &'a mut BankArray,
     bank_map: &'a BankMap,
     stats: &'a mut Stats,
+    /// The machine's ATT expiry horizon, lowered by every insert.
+    expiry_due: &'a mut Cycle,
     att_enabled: bool,
     /// Banks `b`: the accesses in one phase of a block operation.
     banks_per_block: usize,
@@ -2040,8 +2190,8 @@ struct Kernel<'a> {
 }
 
 impl Kernel<'_> {
-    /// The fused access kernel shared by proven single slots
-    /// ([`CfmMachine::parallel_slot`]) and proven windows
+    /// The fused access kernel shared by the per-slot pass's clean
+    /// accesses ([`CfmMachine::step_procs`]) and proven windows
     /// ([`CfmMachine::window_inline`]): processor `p`'s operation
     /// injects into logical bank `k` at slot `t` — the injection check,
     /// the bank read or write plus writer stamp, the ATT insert at a
@@ -2125,6 +2275,8 @@ impl Kernel<'_> {
                         op.op_id,
                         sink,
                     );
+                    // The entry expires `b` slots on.
+                    *self.expiry_due = (*self.expiry_due).min(t + b as u64);
                 }
                 if let Some(ph) = phys {
                     self.banks.write_traced(
@@ -2749,8 +2901,8 @@ mod tests {
     }
 
     /// Same-block contention (every processor swaps block 0) forces ATT
-    /// arbitration — hazard slots the single-slot plan must hand back to the
-    /// sequential path without observable difference.
+    /// arbitration — hazardous accesses the per-slot pass must send down
+    /// the checked path without observable difference.
     fn drive_contended(engine: Engine) -> (Vec<Completion>, Stats, Vec<Word>, MemoryTrace) {
         let cfg = CfmConfig::new(4, 1, 16).unwrap().with_engine(engine);
         let b = cfg.banks();
@@ -2966,5 +3118,105 @@ mod tests {
         }
         m.run(10_000).expect_idle();
         assert_eq!(m.window_refusals(), WindowRefusals::default());
+    }
+
+    #[test]
+    fn access_fallbacks_count_each_reason() {
+        let cfg = CfmConfig::new(4, 1, 16).unwrap();
+        let b = cfg.banks();
+        // Two writers of one block next to two disjoint readers: the
+        // writers' accesses meet each other's ATT entries and take the
+        // checked path while the readers stay fused in the same slots.
+        let mut m = CfmMachine::builder(cfg).offsets(8).build();
+        m.issue(0, Operation::write(3, vec![1; b])).unwrap();
+        m.issue(1, Operation::read(5)).unwrap();
+        m.issue(2, Operation::write(3, vec![2; b])).unwrap();
+        m.issue(3, Operation::read(6)).unwrap();
+        while !m.is_idle() {
+            m.step();
+        }
+        let f = m.access_fallbacks();
+        assert!(f.contended > 0 && f.mixed_slots > 0, "{f:?}");
+        assert_eq!((f.seeded, f.transient, f.held), (0, 0, 0), "{f:?}");
+
+        // A transient error on bank 2 at slots 2–3 strikes p0's write
+        // mid-phase: the entry is held, and the resumed accesses (after
+        // the backoff, on healthy banks) are checked for the held entry.
+        let plan = FaultPlan::single(
+            2,
+            FaultKind::TransientBankError {
+                bank: 2,
+                repair_slot: 4,
+            },
+        );
+        let mut m = CfmMachine::builder(cfg).offsets(8).fault_plan(plan).build();
+        m.issue(0, Operation::write(0, vec![7; b])).unwrap();
+        while !m.is_idle() {
+            m.step();
+        }
+        let f = m.access_fallbacks();
+        assert!(f.transient > 0 && f.held > 0, "{f:?}");
+        assert_eq!(m.peek_block(0), vec![7; b]);
+
+        // A seeded hook sends every access down the checked path.
+        let mut m = CfmMachine::builder(cfg)
+            .offsets(8)
+            .inject(|inj| {
+                inj.drop_att_inserts(1);
+            })
+            .build();
+        m.issue(0, Operation::read(0)).unwrap();
+        m.step();
+        assert_eq!(m.access_fallbacks().seeded, 1);
+        assert_eq!(m.parallel_slots(), 0);
+
+        // The reference stepper checks every access and counts nothing.
+        let mut m = CfmMachine::builder(cfg.with_engine(Engine::Sequential))
+            .offsets(8)
+            .build();
+        for p in 0..4 {
+            m.issue(p, Operation::write(3, vec![p as u64; b])).unwrap();
+        }
+        m.run(10_000).expect_idle();
+        assert_eq!(m.access_fallbacks(), AccessFallbacks::default());
+    }
+
+    /// `run()` collects completions only on passes that follow a
+    /// delivery — yet it must still return, in processor order, the ones
+    /// queued before it started: by direct `step()` calls or carried by
+    /// a same-shape restore.
+    #[test]
+    fn run_returns_completions_queued_before_it() {
+        for engine in [Engine::Sequential, Engine::Windowed] {
+            for restore in [false, true] {
+                let cfg = CfmConfig::new(4, 1, 16).unwrap().with_engine(engine);
+                let mut m = CfmMachine::builder(cfg).offsets(8).build();
+                m.issue(3, Operation::read(3)).unwrap();
+                m.step();
+                m.issue(0, Operation::read(0)).unwrap();
+                for _ in 0..3 {
+                    m.step();
+                }
+                // p3's read was delivered at slot 3 and waits in its
+                // queue; p0's read makes its final access at slot 4.
+                assert!(!m.is_busy(3) && m.is_busy(0));
+                if restore {
+                    m = m.checkpoint().restore().unwrap();
+                }
+                let procs: Vec<ProcId> = m.run(100).expect_idle().iter().map(|c| c.proc).collect();
+                // The first pass collects both queues in processor order.
+                assert_eq!(procs, [0, 3], "{engine:?}, restore = {restore}");
+                assert!(m.poll(0).is_none() && m.poll(3).is_none());
+                // Polled completions are not returned twice.
+                m.issue(1, Operation::read(1)).unwrap();
+                m.step();
+                m.issue(2, Operation::read(2)).unwrap();
+                while m.poll(1).is_none() {
+                    m.step();
+                }
+                let procs: Vec<ProcId> = m.run(100).expect_idle().iter().map(|c| c.proc).collect();
+                assert_eq!(procs, [2], "{engine:?}, restore = {restore}");
+            }
+        }
     }
 }

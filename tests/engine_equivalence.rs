@@ -11,7 +11,7 @@
 use cfm_verify::analyze::summarize;
 use conflict_free_memory::core::config::{CfmConfig, Engine};
 use conflict_free_memory::core::fault::{FaultKind, FaultPlan, PlanParams};
-use conflict_free_memory::core::machine::CfmMachine;
+use conflict_free_memory::core::machine::{AccessFallbacks, CfmMachine};
 use conflict_free_memory::core::op::{Completion, Operation};
 use conflict_free_memory::core::snapshot::MachineSnapshot;
 use conflict_free_memory::core::spec::{OffsetExpr, OpPattern, OpSpec, ProgramSpec};
@@ -723,4 +723,148 @@ fn pinned_single_lane_trace_bytes() {
         def.3.len(),
         digest,
     );
+}
+
+/// Hot blocks the even processors of [`drive_hot`] contend for.
+const HOT_BLOCKS: usize = 4;
+
+/// Everything [`drive_hot`] observes: completions, stats, the trace,
+/// the per-access fallback counters and the fully fused slot count.
+type HotRun = (
+    Vec<Completion>,
+    Stats,
+    Vec<TraceEvent>,
+    AccessFallbacks,
+    u64,
+);
+
+/// The hot-block workload: even processors write or swap one of
+/// [`HOT_BLOCKS`] shared blocks (script-chosen), odd processors
+/// alternate write/read on a block of their own. Every slot mixes
+/// contended accesses (checked) with clean ones (fused). Issues go
+/// round-robin; whenever the next issuer is busy the machine runs with
+/// at most `budget` slots per `run` call, under an optional generated
+/// fault plan.
+fn drive_hot(
+    engine: Engine,
+    n: usize,
+    c: u32,
+    script: &[u64],
+    fault_seed: Option<u64>,
+    budget: u64,
+) -> HotRun {
+    let offsets = HOT_BLOCKS + n;
+    let cfg = CfmConfig::new(n, c, 16)
+        .unwrap()
+        .with_spares(1)
+        .unwrap()
+        .with_engine(engine);
+    let b = cfg.banks();
+    let mut m = CfmMachine::builder(cfg)
+        .offsets(offsets)
+        .trace(true)
+        .build();
+    if let Some(seed) = fault_seed {
+        m.injector().fault_plan(FaultPlan::generate(
+            seed,
+            &PlanParams {
+                banks: b,
+                processors: n,
+                horizon: 96,
+                permanent: 1,
+                transient: 2,
+                max_repair: 4,
+                responses: 1,
+                stuck: 0,
+            },
+        ));
+    }
+    let mut completions = Vec::new();
+    for (i, &word) in script.iter().enumerate() {
+        let p = i % n;
+        while m.is_busy(p) {
+            completions.extend(m.run(budget).completions);
+        }
+        let val = word >> 16;
+        let op = if p.is_multiple_of(2) {
+            let hot = (word >> 8) as usize % HOT_BLOCKS;
+            if word % 2 == 0 {
+                Operation::write(hot, vec![val; b])
+            } else {
+                Operation::swap(hot, vec![val ^ 0xA5A5; b])
+            }
+        } else if (i / n).is_multiple_of(2) {
+            Operation::write(HOT_BLOCKS + p, vec![val; b])
+        } else {
+            Operation::read(HOT_BLOCKS + p)
+        };
+        m.issue(p, op).unwrap();
+    }
+    while !m.is_idle() {
+        completions.extend(m.run(budget).completions);
+    }
+    (
+        completions,
+        *m.stats(),
+        m.take_trace().unwrap().into_events(),
+        m.access_fallbacks(),
+        m.parallel_slots(),
+    )
+}
+
+proptest! {
+    /// Random `(n, c, window-size cap, program, fault plan)` on the
+    /// hot-block workload → the windowed engine, whose slots mix fused
+    /// and checked accesses, is byte-identical to the sequential engine:
+    /// completions, stats and the full trace. `fault_sel` past the seed
+    /// range means "no fault plan".
+    #[test]
+    fn hot_block_engine_is_equivalent_to_sequential(
+        n in 3usize..9,
+        c in 1u32..3,
+        budget in 2u64..96,
+        script in proptest::collection::vec(0u64..u64::MAX, 1..48),
+        fault_sel in 0u64..2_000,
+    ) {
+        let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
+        let seq = drive_hot(Engine::Sequential, n, c, &script, fault_seed, budget);
+        let win = drive_hot(Engine::Windowed, n, c, &script, fault_seed, budget);
+        prop_assert_eq!(&seq.0, &win.0, "completions diverged");
+        prop_assert_eq!(&seq.1, &win.1, "stats diverged");
+        prop_assert_eq!(&seq.2, &win.2, "traces diverged");
+        prop_assert_eq!(seq.3, AccessFallbacks::default(), "the reference engine counts no fallbacks");
+    }
+}
+
+/// The hot-block workload on fixed scripts, with and without a fault
+/// plan: byte-identical to the sequential engine, and not vacuously so
+/// — some slots mixed fused and checked accesses, and some ran fully
+/// fused.
+#[test]
+fn hot_block_slots_mix_fused_and_checked_accesses() {
+    let script: Vec<u64> = (0..96u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 8))
+        .collect();
+    for fault_seed in [None, Some(3), Some(11)] {
+        for c in [1, 2] {
+            let seq = drive_hot(Engine::Sequential, 8, c, &script, fault_seed, 64);
+            let win = drive_hot(Engine::Windowed, 8, c, &script, fault_seed, 64);
+            assert_eq!(seq.0, win.0, "completions, c = {c}, faults {fault_seed:?}");
+            assert_eq!(seq.1, win.1, "stats, c = {c}, faults {fault_seed:?}");
+            assert_eq!(seq.2, win.2, "trace, c = {c}, faults {fault_seed:?}");
+            let (fallbacks, fused_slots) = (win.3, win.4);
+            assert!(
+                fallbacks.contended > 0 && fallbacks.mixed_slots > 0,
+                "c = {c}, faults {fault_seed:?}: no slot mixed fused and checked accesses: \
+                 {fallbacks:?}"
+            );
+            assert!(
+                fused_slots > 0,
+                "c = {c}, faults {fault_seed:?}: no slot ran fully fused"
+            );
+            if fault_seed.is_some() {
+                assert!(win.1.faults_injected > 0, "c = {c}: the plan fired");
+            }
+        }
+    }
 }
