@@ -43,7 +43,7 @@ const ENGINES: [(&str, Engine); 2] = [
 /// `plain`, `traced` and `faulted` issue a fixed per-processor block;
 /// `dynamic-window` rotates every processor's block each generation —
 /// disjoint at runtime but *not* expressible as a residue-class
-/// footprint (`NotPeriodic` programs). The runtime hazard scan proves
+/// footprint (`NotPeriodic` programs). The runtime window proof covers
 /// both shapes; `dynamic_fraction` shows how many slots it covered.
 /// `hot-block` makes the even processors write or swap one of
 /// [`HOT_BLOCKS`] shared blocks while the odd ones keep their own: ATT
@@ -195,7 +195,7 @@ fn json_report(
         "  \"note\": \"Honest numbers for the host recorded in host_cpus/host_free_cores \
          (logical CPUs minus 1-min load average at bench start); both engines run on one \
          thread. dynamic_fraction is the share of slots executed inside windows proven \
-         by the runtime hazard scan. window_refusals counts, per reason, the run() steps \
+         at runtime. window_refusals counts, per reason, the run() steps \
          that fell back to a single slot instead of a window; access_fallbacks counts, \
          per reason, the single-slot accesses that took the checked path instead of \
          the fused kernel. See docs/performance.md.\",\n",

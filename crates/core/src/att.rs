@@ -136,9 +136,7 @@ pub struct Att {
     /// [`Self::contended_by_other`]) consult it first so the common case —
     /// no live entry for the accessed offset — is O(1) instead of a
     /// full-queue scan. A dense array indexed by offset (not a hash map):
-    /// probes are a single bounds-checked load, and the windowed engine's
-    /// hazard scan streams it without chasing buckets. Grown on
-    /// demand; [`Self::with_offsets`] pre-sizes it.
+    /// probes are a single bounds-checked load. Grown on demand; [`Self::with_offsets`] pre-sizes it.
     by_offset: Vec<u32>,
 }
 
@@ -211,8 +209,15 @@ impl Att {
 
     /// [`Self::expire`] with every shifted-out entry recorded as a
     /// [`TraceEvent::AttExpire`] — the trace analyses use expiries to
-    /// bound how long an entry could have arbitrated.
-    pub fn expire_traced<S: TraceSink + ?Sized>(&mut self, now: Cycle, bank: BankId, sink: &mut S) {
+    /// bound how long an entry could have arbitrated — and handed to
+    /// `expired`, oldest first.
+    pub fn expire_traced<S: TraceSink + ?Sized>(
+        &mut self,
+        now: Cycle,
+        bank: BankId,
+        sink: &mut S,
+        mut expired: impl FnMut(&Entry),
+    ) {
         while let Some(back) = self.entries.back() {
             if now.saturating_sub(back.inserted_at) > self.capacity as Cycle {
                 let e = *back;
@@ -224,6 +229,7 @@ impl Att {
                     proc: e.proc,
                     offset: e.offset,
                 });
+                expired(&e);
             } else {
                 break;
             }
@@ -288,6 +294,23 @@ impl Att {
     /// All live entries (newest first).
     pub fn entries(&self) -> impl Iterator<Item = &Entry> {
         self.entries.iter()
+    }
+
+    /// Whether the live queue (not the held entries) holds the entry
+    /// `(offset, proc, inserted_at)`. A bank takes at most one insert
+    /// per slot, so the queue is strictly ordered by insertion slot and
+    /// a binary search finds the one candidate; the oldest entry, the
+    /// common query, is checked first.
+    pub(crate) fn has_entry(&self, offset: BlockOffset, proc: ProcId, inserted_at: Cycle) -> bool {
+        let found = match self.entries.back() {
+            Some(e) if e.inserted_at == inserted_at => Some(e),
+            _ => self
+                .entries
+                .binary_search_by(|e| inserted_at.cmp(&e.inserted_at))
+                .ok()
+                .map(|i| &self.entries[i]),
+        };
+        found.is_some_and(|e| e.offset == offset && e.proc == proc)
     }
 
     /// Remove the entry a restarting write phase inserted (it is no
@@ -769,6 +792,26 @@ mod tests {
             }
             assert_eq!(att.check_shift_invariant(t), Ok(()));
         }
+    }
+
+    #[test]
+    fn has_entry_finds_live_entries_by_identity() {
+        let mut att = Att::new(8);
+        for t in [3, 5, 6, 9] {
+            att.insert(entry(t as usize % 2, TrackKind::Write, t as usize, t));
+        }
+        assert!(att.has_entry(1, 3, 3)); // the oldest
+        assert!(att.has_entry(1, 5, 5));
+        assert!(att.has_entry(0, 6, 6));
+        assert!(att.has_entry(1, 9, 9)); // the newest
+        assert!(!att.has_entry(0, 5, 5)); // wrong offset
+        assert!(!att.has_entry(1, 4, 5)); // wrong processor
+        assert!(!att.has_entry(1, 3, 4)); // no insert at slot 4
+        att.hold(1, 5, 5);
+        assert!(
+            !att.has_entry(1, 5, 5),
+            "held entries are not in the live queue"
+        );
     }
 
     #[test]

@@ -115,6 +115,7 @@ pub mod testing;
 pub mod timing;
 pub mod topology;
 pub mod trace;
+mod window;
 
 /// A machine word as stored in one memory bank entry.
 ///

@@ -38,7 +38,7 @@ use crate::{BankId, BlockOffset, Cycle, ProcId, Word};
 /// 3 = the engine is a bare tag byte (the thread count that followed the
 /// windowed tag is gone with the multi-lane engine); 4 = drops the
 /// trailing armed-summary section and the two static-window counters
-/// (the machine has one window proof, the runtime hazard scan).
+/// (the machine has one window proof, decided at runtime).
 pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Leading magic of every serialised snapshot.

@@ -20,7 +20,7 @@
 //! * [`HazardSummary`] — a proven-safe footprint plus ATT occupancy and
 //!   per-bank access bounds: the report `cfm-verify analyze` produces.
 //!   The machine never consumes it; its windowed engine proves every
-//!   window at runtime with its own hazard scan.
+//!   window at runtime with its own window proof.
 //!
 //! The safety notion is deliberately conservative (see
 //! `docs/static-analysis.md`): an `(offset, proc)` pair is *statically

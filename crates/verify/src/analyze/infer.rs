@@ -40,7 +40,7 @@ pub type ObservedOp = (OpKind, usize);
 
 /// Why no candidate spec could be fitted from an observation window.
 /// Inference failing is a *normal* outcome — the program simply keeps
-/// the dynamic hazard scan — so the error names the evidence that was
+/// the runtime window proof — so the error names the evidence that was
 /// missing rather than claiming anything is wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InferError {

@@ -22,7 +22,7 @@
 //! The proof is packaged as a [`HazardSummary`], the analyzer's report.
 //! Two checks tie it to what runs, both exercised here end to end: a
 //! summarized program, run on the windowed engine, runs in windows the
-//! machine's own runtime hazard scan proves, byte-identical to the
+//! machine's own runtime window proof covers, byte-identical to the
 //! sequential engine; and `cfm-serve` admission
 //! ([`cfm_serve::service::Footprints::admit`]) rejects tenant programs
 //! whose static [`Footprint`] conflicts with an admitted tenant's,
@@ -35,7 +35,7 @@
 //! analyzer flags may still execute cleanly (the ATT arbitrates them),
 //! which is exactly the "strictly more conservative" contract.
 //! Data-dependent offsets are never summarized; the machine runs those
-//! programs under the same runtime hazard scan as any other (see
+//! programs under the same runtime window proof as any other (see
 //! `docs/static-analysis.md`).
 
 pub mod infer;
@@ -589,9 +589,9 @@ fn lock_order_check(offsets: usize) -> Check {
     .with_metric("edges", g.edge_count() as u64)
 }
 
-/// Check the analyzer against the runtime scan: a program the analyzer
+/// Check the analyzer against the runtime proof: a program the analyzer
 /// proves conflict-free must, on the windowed engine, run in windows
-/// the machine's own hazard scan proves — byte-identical to the
+/// the machine's own window proof covers — byte-identical to the
 /// sequential engine.
 fn summary_engine_check(n: usize, c: u32, offsets: usize) -> Check {
     let subj = format!("{} prog=disjoint-sweep", subject(n, c));
@@ -640,7 +640,7 @@ fn summary_engine_check(n: usize, c: u32, offsets: usize) -> Check {
         &subj,
         format!(
             "byte-identical to sequential; {dynamic_slots} slots in {dynamic_windows} \
-             windows proven by the runtime hazard scan"
+             windows proven at runtime"
         ),
     )
     .with_metric("dynamic_slots", dynamic_slots)
